@@ -18,14 +18,14 @@ parameters and results.
 
 import copy
 
-from .types import I64, MEM, IO, lift
+from .types import I64, PTR, MEM, IO, lift
 from . import ops
 from .graph import Graph
-from .source import (Var, Lit, GlobalRef, Br, Branch, Ret, Function,
-                     MEMVAR, IOVAR, compute_ipg, CMP)
+from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
+                     compute_ipg, drop_unreachable, result_ty)
 from .parser import check_module
 from .ssa import destruct_ssa
-from .restructure import restructure, _tarjan
+from .restructure import restructure, tarjan
 from .controltree import (build_control_tree, annotate, CTBlock, CTLinear,
                           CTBranch, CTLoop, last_block)
 
@@ -35,18 +35,11 @@ class BuildError(Exception):
 
 
 def _vartys_of(fn):
-    from .types import I1, PTR
     tys = {name: lift(ty) for name, ty in fn.params}
     for b in fn.blocks:
         for i in b.instrs:
-            if i.dest is None:
-                continue
-            if i.op in CMP:
-                tys[i.dest] = I1
-            elif i.op in ("alloca", "gep"):
-                tys[i.dest] = PTR
-            else:
-                tys[i.dest] = lift(i.ty)
+            if i.dest is not None:
+                tys[i.dest] = lift(result_ty(i))
     return tys
 
 
@@ -217,35 +210,13 @@ class _Emitter:
         syms[i.dest] = n.outputs[0]
 
 
-def _drop_unreachable(fn):
-    """Remove blocks the entry cannot reach, and phi entries naming
-    them.  Unreachable predecessors would otherwise feed bogus edges
-    into the restructuring."""
-    by_name = {b.name: b for b in fn.blocks}
-    seen = {fn.blocks[0].name}
-    stack = [fn.blocks[0]]
-    while stack:
-        for t in _successors(stack.pop().term):
-            if t not in seen:
-                seen.add(t)
-                stack.append(by_name[t])
-    fn.blocks = [b for b in fn.blocks if b.name in seen]
-    for b in fn.blocks:
-        for p in b.phis:
-            p.entries = [(o, lbl) for o, lbl in p.entries if lbl in seen]
-
-
-def _successors(term):
-    if isinstance(term, Br):
-        return [term.target]
-    if isinstance(term, Branch):
-        return term.targets
-    return []
-
-
-def _prepare_tree(fn, after, thread_io):
+def prepare_tree(fn, after, thread_io):
+    """Copy `fn` and run the construction phases up to the annotated
+    control tree; returns the restructured copy and the tree.
+    Unreachable blocks go first: their edges would otherwise feed bogus
+    predecessors into the restructuring."""
     work = copy.deepcopy(fn)
-    _drop_unreachable(work)
+    drop_unreachable(work)
     destruct_ssa(work)
     restructure(work)
     tree = build_control_tree(work)
@@ -264,7 +235,7 @@ def translate_function(g, lam, fn, refsyms):
     syms[MEMVAR] = g.lambda_add_param(lam, MEM)
     syms[IOVAR] = g.lambda_add_param(lam, IO)
 
-    work, tree = _prepare_tree(fn, {MEMVAR, IOVAR}, thread_io=True)
+    work, tree = prepare_tree(fn, {MEMVAR, IOVAR}, thread_io=True)
     em = _Emitter(g, _vartys_of(work))
     em.emit(tree, body, syms)
     results = []
@@ -287,7 +258,7 @@ def translate_initializer(g, delta, gv, refsyms):
                     "initializer of @%s uses stateful operation %s"
                     % (gv.name, i.op))
     shim = Function(gv.name, [], gv.ty, blocks=gv.blocks)
-    work, tree = _prepare_tree(shim, set(), thread_io=False)
+    work, tree = prepare_tree(shim, set(), thread_io=False)
     em = _Emitter(g, _vartys_of(work))
     syms = dict(refsyms)
     em.emit(tree, delta.subregions[0], syms)
@@ -307,13 +278,13 @@ def construct(module):
         return ipg.get(n, [])
 
     symtab = {}
-    for scc in _tarjan(list(module.order), succ_of):
+    for scc in tarjan(list(module.order), succ_of):
         scc = sorted(scc, key=lambda n: order_index[n])
         recursive = len(scc) > 1 or scc[0] in ipg.get(scc[0], [])
         if not recursive:
-            _build_single(g, module, scc[0], symtab)
+            _build_single(g, module, ipg, scc[0], symtab)
         else:
-            _build_recursive(g, module, scc, symtab)
+            _build_recursive(g, module, ipg, scc, symtab)
 
     for name in module.order:
         ent = module.functions.get(name) or module.globals_.get(name)
@@ -326,12 +297,11 @@ def construct(module):
 
 
 def _ref_type(module, name):
-    from .types import PTR
     ty = module.type_of(name)
     return lift(ty) if ty.kind == "fn" else PTR
 
 
-def _build_single(g, module, name, symtab):
+def _build_single(g, module, ipg, name, symtab):
     if name in module.externals:
         symtab[name] = g.omega_add_import(name, _ref_type(module, name))
         return
@@ -339,20 +309,20 @@ def _build_single(g, module, name, symtab):
         gv = module.globals_[name]
         delta = g.begin_delta(g.root, name, lift(gv.ty))
         refsyms = {}
-        for ref in _refs_of(module, name):
+        for ref in ipg[name]:
             refsyms["@" + ref] = g.add_ctx(delta, symtab[ref])
         symtab[name] = translate_initializer(g, delta, gv, refsyms)
         return
     fn = module.functions[name]
     lam = g.begin_lambda(g.root, name)
     refsyms = {}
-    for ref in _refs_of(module, name):
+    for ref in ipg[name]:
         refsyms["@" + ref] = g.add_ctx(lam, symtab[ref])
     translate_function(g, lam, fn, refsyms)
     symtab[name] = lam.outputs[0]
 
 
-def _build_recursive(g, module, scc, symtab):
+def _build_recursive(g, module, ipg, scc, symtab):
     for name in scc:
         if name not in module.functions:
             raise BuildError("@%s is in a recursive cycle but is not a "
@@ -360,7 +330,7 @@ def _build_recursive(g, module, scc, symtab):
     phi = g.begin_phi(g.root)
     outer = []
     for name in scc:
-        for ref in _refs_of(module, name):
+        for ref in ipg[name]:
             if ref not in scc and ref not in outer:
                 outer.append(ref)
     ctxmap = {}
@@ -376,12 +346,9 @@ def _build_recursive(g, module, scc, symtab):
         fn = module.functions[name]
         lam = g.begin_lambda(body, name)
         refsyms = {}
-        for ref in _refs_of(module, name):
+        for ref in ipg[name]:
             src = ctxmap[ref] if ref not in scc else recmap[ref]
             refsyms["@" + ref] = g.add_ctx(lam, src)
         translate_function(g, lam, fn, refsyms)
         g.phi_set_rec(phi, l, lam.outputs[0])
 
-
-def _refs_of(module, name):
-    return compute_ipg(module).get(name, [])

@@ -12,7 +12,7 @@ import sys
 from .parser import (ParseError, SourceError, parse_file, check_module,
                      print_module)
 from .graph import GraphError
-from .build import BuildError, MEMVAR, IOVAR, construct, _prepare_tree
+from .build import BuildError, MEMVAR, IOVAR, construct, prepare_tree
 from .destruct import destruct
 from .rewrite import RewriteError
 from .restructure import RestructureError
@@ -164,7 +164,7 @@ def cmd_dot(ns, out):
         out.write(render.dot_cfg(mod))
     elif ns.level == "tree":
         name = _pick_fn(mod, ns.fn)
-        _, tree = _prepare_tree(mod.functions[name], {MEMVAR, IOVAR},
+        _, tree = prepare_tree(mod.functions[name], {MEMVAR, IOVAR},
                                 thread_io=True)
         out.write(render.dot_tree(tree, name))
     else:

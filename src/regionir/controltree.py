@@ -54,6 +54,17 @@ class CTLoop:
         return "Loop[%r @%d]" % (self.body, self.repeat_index)
 
 
+def children(tree):
+    """The direct subtrees of a control-tree node, in order."""
+    if isinstance(tree, CTLinear):
+        return tree.children
+    if isinstance(tree, CTBranch):
+        return tree.alts
+    if isinstance(tree, CTLoop):
+        return [tree.body]
+    return []
+
+
 def last_block(tree):
     """The basic block a subtree hands control off from."""
     if isinstance(tree, CTBlock):

@@ -14,10 +14,10 @@ The blocks come out in non-SSA form and are put back into SSA by the
 standard reconstruction before the module is returned.
 """
 
-from .types import I1, I64, PTR, lower
+from .types import I64, lower
 from .source import (Module, Function, GlobalVar, Block, Instr, Br, Branch,
-                     Ret, Var, Lit, GlobalRef)
-from .ssa import construct_ssa, sequence_parallel_copies
+                     Ret, Var, Lit, GlobalRef, result_ty)
+from .ssa import NameGen, construct_ssa, sequence_parallel_copies
 
 
 class DestructError(Exception):
@@ -38,22 +38,13 @@ def _sty(ty):
     return ty
 
 
-class _Names:
-    def __init__(self):
-        self.n = 0
-
-    def fresh(self, stem="v"):
-        self.n += 1
-        return "%s%d" % (stem, self.n)
-
-
 class _Lowerer:
     """Reconstructs one function-like body (a lambda or delta region)."""
 
     def __init__(self, graph, refmap):
         self.g = graph
         self.refmap = refmap        # region arg Port -> referenced global name
-        self.names = _Names()
+        self.names = NameGen()
         self.tys = {}               # var name -> source type
         self.blocks = []
         self.cur = self._block()
@@ -66,12 +57,7 @@ class _Lowerer:
     def emit(self, instr):
         self.cur.instrs.append(instr)
         if instr.dest is not None:
-            if instr.op in ("eq", "ne", "lt", "le", "gt", "ge"):
-                self.tys[instr.dest] = I1
-            elif instr.op in ("alloca", "gep"):
-                self.tys[instr.dest] = PTR
-            else:
-                self.tys[instr.dest] = instr.ty
+            self.tys[instr.dest] = result_ty(instr)
 
     def operand(self, env, use):
         return env[use.origin]
@@ -115,7 +101,7 @@ class _Lowerer:
     def lower_gamma(self, node, env):
         pred = self.operand(env, node.inputs[0])
         exit_ports = [o for o in node.outputs if not o.ty.is_state]
-        exit_vars = {o: self.names.fresh() for o in exit_ports}
+        exit_vars = {o: self.names.fresh("v") for o in exit_ports}
         head = self.cur
         cont = Block(self.names.fresh("b"))
         alt_names = []
@@ -146,7 +132,7 @@ class _Lowerer:
                 if not use.ty.is_state]
         carried = {}
         for l, use in loop:
-            w = self.names.fresh()
+            w = self.names.fresh("v")
             carried[l] = w
             self.emit(Instr("copy", dest=w, ty=_sty(use.ty),
                             operands=[self.operand(env, use)]))
@@ -185,7 +171,7 @@ class _Lowerer:
             env[node.outputs[0]] = Lit(op.value)
             return
         if n == "undef":
-            d = self.names.fresh()
+            d = self.names.fresh("v")
             self.emit(Instr("undef", dest=d, ty=_sty(op.ty)))
             env[node.outputs[0]] = Var(d)
             return
@@ -196,12 +182,12 @@ class _Lowerer:
             env[node.outputs[0]] = self.operand(env, ins[0])
             return
         if n == "alloca":
-            d = self.names.fresh()
+            d = self.names.fresh("v")
             self.emit(Instr("alloca", dest=d, ty=_sty(op.ty)))
             env[node.outputs[0]] = Var(d)
             return
         if n == "load":
-            d = self.names.fresh()
+            d = self.names.fresh("v")
             self.emit(Instr("load", dest=d, ty=_sty(op.ty),
                             operands=[self.operand(env, ins[0])]))
             env[node.outputs[0]] = Var(d)
@@ -212,7 +198,7 @@ class _Lowerer:
                                       self.operand(env, ins[0])]))
             return
         if n == "gep":
-            d = self.names.fresh()
+            d = self.names.fresh("v")
             self.emit(Instr("gep", dest=d, ty=_sty(op.ty),
                             operands=[self.operand(env, ins[0]),
                                       self.operand(env, ins[1])]))
@@ -226,7 +212,7 @@ class _Lowerer:
                 raise DestructError("call with %d value results"
                                     % len(fnty.results))
             ret_ty = fnty.results[0] if fnty.results else None
-            dest = self.names.fresh() if ret_ty is not None else None
+            dest = self.names.fresh("v") if ret_ty is not None else None
             self.emit(Instr("call", dest=dest, ty=ret_ty, operands=args,
                             callee=callee, arg_tys=list(fnty.params)))
             for o in node.outputs:
@@ -234,7 +220,7 @@ class _Lowerer:
                     env[o] = Var(dest)
             return
         # arithmetic, comparison, negation
-        d = self.names.fresh()
+        d = self.names.fresh("v")
         self.emit(Instr(n, dest=d, ty=op.ty,
                         operands=[self.operand(env, u) for u in ins]))
         env[node.outputs[0]] = Var(d)

@@ -8,6 +8,11 @@ both directions.
 
 All handles are dense integers assigned per graph, and every traversal
 breaks ties by ascending id, which makes the passes deterministic.
+
+Port indices are dense too.  Variables are removed in batches
+(`remove_gamma_entries(g, ls)` and its siblings take a set of variable
+indices): each affected port list is filtered and renumbered once per
+batch, not once per removed index.
 """
 
 import heapq
@@ -398,63 +403,60 @@ class Graph:
             inner.region = None
         region.nodes = []
 
-    def _drop_input(self, node, idx):
-        self.disconnect(node.inputs[idx])
-        del node.inputs[idx]
-        _renumber(node.inputs)
+    def _drop_ports(self, ports=(), uses=()):
+        """Remove a batch of port-list entries.  `ports` and `uses` hold
+        (list, index set) pairs: ports are outputs or arguments and must
+        have no users, uses are inputs or results and get disconnected.
+        Every port is checked before anything changes; each list is then
+        filtered once and renumbered once, survivors keeping their order."""
+        for items, idxs in ports:
+            for i in idxs:
+                if items[i].users:
+                    raise GraphError("removing %r, which still has users"
+                                     % items[i])
+        for items, idxs in uses:
+            for i in idxs:
+                self.disconnect(items[i])
+        for items, idxs in list(ports) + list(uses):
+            if idxs:
+                items[:] = [p for i, p in enumerate(items) if i not in idxs]
+                _renumber(items)
 
-    def _drop_output(self, node, idx):
-        if node.outputs[idx].users:
-            raise GraphError("removing output with users on %r" % node)
-        del node.outputs[idx]
-        _renumber(node.outputs)
+    def remove_gamma_entries(self, g, ls):
+        ls = set(ls)
+        self._drop_ports(ports=[(r.args, ls) for r in g.subregions],
+                         uses=[(g.inputs, {l + 1 for l in ls})])
 
-    def _drop_arg(self, region, idx):
-        if region.args[idx].users:
-            raise GraphError("removing argument with users in %r" % region)
-        del region.args[idx]
-        _renumber(region.args)
+    def remove_gamma_exits(self, g, ls):
+        ls = set(ls)
+        self._drop_ports(ports=[(g.outputs, ls)],
+                         uses=[(r.results, ls) for r in g.subregions])
 
-    def _drop_result(self, region, idx):
-        self.disconnect(region.results[idx])
-        del region.results[idx]
-        _renumber(region.results)
-
-    def remove_gamma_entry(self, g, l):
-        for r in g.subregions:
-            self._drop_arg(r, l)
-        self._drop_input(g, l + 1)
-
-    def remove_gamma_exit(self, g, l):
-        self._drop_output(g, l)
-        for r in g.subregions:
-            self._drop_result(r, l)
-
-    def remove_theta_loopvar(self, t, l):
+    def remove_theta_loopvars(self, t, ls):
+        ls = set(ls)
         body = t.subregions[0]
-        self._drop_output(t, l)
-        self._drop_result(body, l + 1)
-        self._drop_arg(body, l)
-        self._drop_input(t, l)
+        self._drop_ports(ports=[(t.outputs, ls), (body.args, ls)],
+                         uses=[(body.results, {l + 1 for l in ls}),
+                               (t.inputs, ls)])
 
-    def remove_ctx(self, node, l):
-        self._drop_arg(node.subregions[0], l)
-        self._drop_input(node, l)
-        node.n_ctx -= 1
+    def remove_ctx_vars(self, node, ls):
+        ls = set(ls)
+        self._drop_ports(ports=[(node.subregions[0].args, ls)],
+                         uses=[(node.inputs, ls)])
+        node.n_ctx -= len(ls)
 
-    def remove_phi_rec(self, phi, l):
+    def remove_phi_recs(self, phi, ls):
+        ls = set(ls)
         body = phi.subregions[0]
-        self._drop_output(phi, l)
-        self._drop_result(body, l)
-        self._drop_arg(body, phi.n_ctx + l)
+        self._drop_ports(ports=[(phi.outputs, ls),
+                                (body.args, {phi.n_ctx + l for l in ls})],
+                         uses=[(body.results, ls)])
 
-    def omega_remove_import(self, l):
-        self._drop_arg(self.root, l)
-        del self.import_names[l]
-
-    def omega_remove_export(self, l):
-        self._drop_result(self.root, l)
-        del self.export_names[l]
+    def omega_remove_imports(self, ls):
+        ls = set(ls)
+        self._drop_ports(ports=[(self.root.args, ls)])
+        self.import_names[:] = [nm for l, nm in enumerate(self.import_names)
+                                if l not in ls]
 
     # -- traversal --------------------------------------------------------
 

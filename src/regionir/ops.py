@@ -3,9 +3,8 @@
 from dataclasses import dataclass, field
 
 from .types import Ty, I1, I64, PTR, MEM, IO, ctl
+from .source import ARITH, CMP
 
-ARITH_NAMES = ("add", "sub", "mul", "div", "rem", "shl", "shr", "and", "or", "xor")
-CMP_NAMES = ("eq", "ne", "lt", "le", "gt", "ge")
 COMMUTATIVE = frozenset(("add", "mul", "and", "or", "xor", "eq", "ne"))
 
 # Operations that can neither trap nor touch state; safe to speculate.
@@ -44,9 +43,9 @@ class SimpleOp:
     def signature(self):
         """(input types, output types) of any node carrying this op."""
         n, t = self.name, self.ty
-        if n in ARITH_NAMES:
+        if n in ARITH:
             return (t, t), (t,)
-        if n in CMP_NAMES:
+        if n in CMP:
             return (t, t), (I1,)
         if n == "neg":
             return (t,), (t,)
@@ -76,10 +75,7 @@ class SimpleOp:
 
 
 def binop(name, ty):
-    return SimpleOp(name, ty)
-
-
-def cmpop(name, ty):
+    """An arithmetic or comparison operation on operands of type `ty`."""
     return SimpleOp(name, ty)
 
 

@@ -6,10 +6,10 @@ repository root.  print(parse(text)) reaches a fixpoint after one round.
 
 import re
 
-from .types import Ty, I1, I64, F64, PTR, intty, fnty, INT_WIDTHS
+from .types import Ty, I64, F64, PTR, intty, fnty, INT_WIDTHS
 from .source import (Module, Function, GlobalVar, Block, Instr, Phi, Br, Branch,
                      Ret, Var, Lit, GlobalRef, ARITH, FLOAT_ARITH, CMP,
-                     validate_cfg)
+                     validate_cfg, result_ty)
 
 
 class ParseError(Exception):
@@ -407,25 +407,24 @@ def _check_body(mod, ent):
         for pname, pty in ent.params:
             vartys[pname] = pty
 
-    def dest_ty(i):
-        if i.op in CMP:
-            return I1
-        if i.op in ("alloca", "gep"):
-            return PTR
-        return i.ty
-
     for b in ent.blocks:
         for p in b.phis:
             _settle(vartys, p.dest, p.ty, ent.name)
         for i in b.instrs:
-            if i.op == "call" and i.dest is not None:
-                _settle(vartys, i.dest, i.ty, ent.name)
-            elif i.dest is not None:
-                _settle(vartys, i.dest, dest_ty(i), ent.name)
+            if i.dest is not None:
+                _settle(vartys, i.dest, result_ty(i), ent.name)
     for b in ent.blocks:
         for i in b.instrs:
             for o in i.operands + ([i.callee] if i.op == "call" else []):
                 _check_operand(mod, vartys, o, ent.name)
+            if i.op == "copy" and isinstance(i.operands[0], Var):
+                # construct binds the destination to the operand itself,
+                # so a retyping copy would change the value's type
+                vty = vartys[i.operands[0].name]
+                if vty != i.ty:
+                    raise SourceError("%s: copies %%%s as %s but it is %s"
+                                      % (ent.name, i.operands[0].name,
+                                         i.ty, vty))
         for p in b.phis:
             for o, _ in p.entries:
                 _check_operand(mod, vartys, o, ent.name)
@@ -480,7 +479,7 @@ def _fmt_operand(o):
     return str(o)
 
 
-def _fmt_instr(i):
+def fmt_instr(i):
     if isinstance(i, Phi):
         ent = ", ".join("[%s, %%%s]" % (o, lbl) for o, lbl in i.entries)
         return "%%%s = phi %s %s" % (i.dest, i.ty, ent)
@@ -499,7 +498,7 @@ def _fmt_instr(i):
     return "%%%s = %s %s %s" % (i.dest, i.op, i.ty, ops)
 
 
-def _fmt_term(t):
+def fmt_term(t):
     if isinstance(t, Br):
         return "br label %%%s" % t.target
     if isinstance(t, Branch):
@@ -514,10 +513,10 @@ def _fmt_blocks(blocks, out):
     for b in blocks:
         out.append("%s:" % b.name)
         for p in b.phis:
-            out.append("  " + _fmt_instr(p))
+            out.append("  " + fmt_instr(p))
         for i in b.instrs:
-            out.append("  " + _fmt_instr(i))
-        out.append("  " + _fmt_term(b.term))
+            out.append("  " + fmt_instr(i))
+        out.append("  " + fmt_term(b.term))
 
 
 def print_module(mod):

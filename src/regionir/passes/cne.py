@@ -21,9 +21,9 @@ lowest sort key (region arguments first, then node ids ascending);
 everything else is diverted onto it and left for dead node elimination.
 """
 
-_FOLDABLE = frozenset(("add", "sub", "mul", "div", "rem", "shl", "shr",
-                       "and", "or", "xor", "eq", "ne", "lt", "le", "gt", "ge",
-                       "neg", "const", "undef", "match", "gep"))
+from ..source import ARITH, CMP
+
+_FOLDABLE = frozenset(ARITH + CMP + ("neg", "const", "undef", "match", "gep"))
 
 
 def _pure(op):

@@ -19,9 +19,8 @@ away with the function.
 def run(graph):
     demanded, kept = mark(graph)
     sweep(graph, graph.root, demanded, kept)
-    for l in range(len(graph.root.args) - 1, -1, -1):
-        if graph.root.args[l] not in demanded:
-            graph.omega_remove_import(l)
+    graph.omega_remove_imports([a.index for a in graph.root.args
+                                if a not in demanded])
 
 
 def mark(graph):
@@ -133,14 +132,13 @@ def sweep(graph, region, demanded, kept):
 
 
 def _sweep_gamma(graph, node, demanded, kept):
-    for l in range(len(node.outputs) - 1, -1, -1):
-        if node.outputs[l] not in demanded:
-            graph.remove_gamma_exit(node, l)
+    graph.remove_gamma_exits(node, [o.index for o in node.outputs
+                                    if o not in demanded])
     for sub in node.subregions:
         sweep(graph, sub, demanded, kept)
-    for l in range(len(node.inputs) - 2, -1, -1):
-        if not any(sub.args[l] in demanded for sub in node.subregions):
-            graph.remove_gamma_entry(node, l)
+    graph.remove_gamma_entries(node, [
+        l for l in range(len(node.inputs) - 1)
+        if not any(sub.args[l] in demanded for sub in node.subregions)])
 
 
 def _sweep_theta(graph, node, demanded, kept):
@@ -150,8 +148,7 @@ def _sweep_theta(graph, node, demanded, kept):
     for l in dead:
         graph.disconnect(body.results[l + 1])
     sweep(graph, body, demanded, kept)
-    for l in reversed(dead):
-        graph.remove_theta_loopvar(node, l)
+    graph.remove_theta_loopvars(node, dead)
 
 
 def _sweep_phi(graph, node, demanded, kept):
@@ -162,13 +159,10 @@ def _sweep_phi(graph, node, demanded, kept):
     for l in dead:
         graph.disconnect(body.results[l])
     sweep(graph, body, demanded, kept)
-    for l in reversed(dead):
-        graph.remove_phi_rec(node, l)
+    graph.remove_phi_recs(node, dead)
     _sweep_ctx(graph, node, demanded)
 
 
 def _sweep_ctx(graph, node, demanded):
-    body = node.subregions[0]
-    for l in range(node.n_ctx - 1, -1, -1):
-        if body.args[l] not in demanded:
-            graph.remove_ctx(node, l)
+    ctx = node.subregions[0].args[:node.n_ctx]
+    graph.remove_ctx_vars(node, [a.index for a in ctx if a not in demanded])

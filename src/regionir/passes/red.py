@@ -8,6 +8,7 @@ number of rounds because one reduction routinely enables the next.
 """
 
 from ..types import ctl
+from ..source import ARITH, CMP
 from ..ops import const
 from ..rewrite import copy_nodes
 from ..interp import Trap, eval_binop, wrap_int, coerce_literal
@@ -76,8 +77,7 @@ def _reduce_simple(graph, node):
             case = op.default
         return _replace_with_const(graph, node, case, ctl(op.k))
 
-    if n not in ("add", "sub", "mul", "div", "rem", "shl", "shr",
-                 "and", "or", "xor", "eq", "ne", "lt", "le", "gt", "ge"):
+    if n not in ARITH and n not in CMP:
         return False
 
     a, b = vals

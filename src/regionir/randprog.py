@@ -17,10 +17,11 @@ evaluators cannot diverge on code that one of them skips.
 
 import random
 
+from .source import CMP
+
 FUEL_LIMIT = 20
 
 _BIN = ("add", "sub", "mul", "and", "or", "xor", "shl", "shr")
-_CMP = ("eq", "ne", "lt", "le", "gt", "ge")
 
 
 class _Gen:
@@ -81,7 +82,7 @@ def _instr(g, helpers, externals):
     elif roll < 0.6:
         dest = rng.choice(g.bools)
         g.emit("%%%s = %s i64 %s, %s"
-               % (dest, rng.choice(_CMP), g.int_operand(), g.int_operand()))
+               % (dest, rng.choice(CMP), g.int_operand(), g.int_operand()))
     elif roll < 0.7:
         dest = rng.choice(g.bools)
         g.emit("%%%s = %s i1 %s, %s"
@@ -160,7 +161,7 @@ def generate(seed, size=1):
             g.emit("%%%s = load i64, @g%d" % (rng.choice(g.ints), i))
     for c in g.bools:
         g.emit("%%%s = %s i64 %s, %s"
-               % (c, rng.choice(_CMP), g.int_operand(), g.int_operand()))
+               % (c, rng.choice(CMP), g.int_operand(), g.int_operand()))
     for q in g.cells:
         g.emit("%%%s = alloca i64" % q)
         g.emit("store i64 %s, %%%s" % (g.int_operand(), q))

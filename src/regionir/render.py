@@ -8,9 +8,9 @@ program passes through: the source CFG, the annotated control tree, and
 the region graph itself.
 """
 
-from .source import Br, Branch
-from .controltree import CTBlock, CTLinear, CTBranch, CTLoop
-from .parser import _fmt_instr, _fmt_term
+from .source import successors
+from .controltree import CTBlock, CTLinear, CTBranch, CTLoop, children
+from .parser import fmt_instr, fmt_term
 
 
 def _portname(port):
@@ -106,25 +106,17 @@ def dot_cfg(module):
         out.append('    label="@%s";' % _esc(name))
         for b in fn.blocks:
             lines = [b.name + ":"]
-            lines += [_fmt_instr(p) for p in b.phis]
-            lines += [_fmt_instr(i) for i in b.instrs]
-            lines.append(_fmt_term(b.term))
+            lines += [fmt_instr(p) for p in b.phis]
+            lines += [fmt_instr(i) for i in b.instrs]
+            lines.append(fmt_term(b.term))
             out.append('    "%s_%s" [label="%s"];'
                        % (name, b.name, _esc("\\l".join(lines) + "\\l")))
         for b in fn.blocks:
-            for t in _targets(b.term):
+            for t in successors(b.term):
                 out.append('    "%s_%s" -> "%s_%s";' % (name, b.name, name, t))
         out.append("  }")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def _targets(term):
-    if isinstance(term, Br):
-        return [term.target]
-    if isinstance(term, Branch):
-        return term.targets
-    return []
 
 
 def dot_tree(tree, fn_name):
@@ -142,7 +134,7 @@ def dot_tree(tree, fn_name):
                                             _fmt_set(node.writes),
                                             _fmt_set(node.demand_in))
         out.append('  %s [label="%s"];' % (nid, _esc(label)))
-        for child in _tree_children(node):
+        for child in children(node):
             out.append("  %s -> %s;" % (nid, emit(child)))
         return nid
 
@@ -166,12 +158,3 @@ def _tree_label(node):
         return "loop"
     return "?"
 
-
-def _tree_children(node):
-    if isinstance(node, CTLinear):
-        return node.children
-    if isinstance(node, CTBranch):
-        return node.alts
-    if isinstance(node, CTLoop):
-        return [node.body]
-    return []

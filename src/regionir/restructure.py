@@ -15,7 +15,7 @@ predicate variable (`.p`) and a join block.
 
 from .types import I1, narrowest_int
 from .source import (Var, Lit, Instr, Br, Branch, Ret, Block, successors,
-                     predecessors, reachable_blocks)
+                     predecessors, drop_unreachable)
 from .ssa import NameGen
 
 
@@ -73,8 +73,7 @@ class _RetInfo:
 
 def normalize(fn, names, retinfo):
     """Unique return block, loop-free entry, distinct branch targets."""
-    live = reachable_blocks(fn)
-    fn.blocks = [b for b in fn.blocks if b.name in live]
+    drop_unreachable(fn)
 
     rets = [b for b in fn.blocks if isinstance(b.term, Ret)]
     if rets:
@@ -107,7 +106,7 @@ def normalize(fn, names, retinfo):
 
 # -- strongly connected components ----------------------------------------
 
-def _tarjan(nodes, succ_of):
+def tarjan(nodes, succ_of):
     """SCCs of the induced subgraph, iterative, deterministic order."""
     index = {}
     low = {}
@@ -177,7 +176,7 @@ def _loops_in(fn, names, retinfo, universe, ignore, out):
                 if (n, s) not in ignore]
 
     order = [b.name for b in fn.blocks if b.name in universe]
-    for scc in _tarjan(order, succ_of):
+    for scc in tarjan(order, succ_of):
         sset = set(scc)
         if len(scc) == 1 and scc[0] not in succ_of(scc[0]):
             continue

@@ -1,4 +1,7 @@
-"""The CFG-based source language: modules, functions, globals, blocks."""
+"""The CFG-based source language: modules, functions, globals, blocks,
+and the CFG toolkit the other modules share: successors and
+predecessors, read/write sets, unreachable-block removal, immediate
+dominator tree, and the result type of an instruction."""
 
 from dataclasses import dataclass, field
 
@@ -266,7 +269,13 @@ def _check_ssa(fn, bmap, preds):
                 defs[w] = b.name
     if bad:
         return bad
-    dom = dominators(fn)
+    idom = idoms(fn)
+
+    def dominates(d, n):
+        while n is not None and n != d:
+            n = idom.get(n)
+        return n == d
+
     for b in fn.blocks:
         reached = set()
         for p in b.phis:
@@ -284,43 +293,82 @@ def _check_ssa(fn, bmap, preds):
                 d = defs.get(r)
                 if d is None:
                     bad.append("use of undefined %%%s" % r)
-                elif d != "<param>" and d != b.name and d not in dom[b.name]:
+                elif d != "<param>" and not dominates(d, b.name):
                     bad.append("use of %%%s in %s not dominated by its definition"
                                % (r, b.name))
-                elif d == b.name:
-                    pass    # checked by linear order below only loosely
             for w in instr_writes(i):
                 reached.add(w)
     return bad
 
 
-def dominators(fn):
-    """block name -> set of dominating block names (inclusive)."""
-    names = [b.name for b in fn.blocks]
+def drop_unreachable(fn):
+    """Remove the blocks the entry cannot reach, and the phi entries
+    naming them."""
+    bmap = fn.block_map()
+    live = {fn.blocks[0].name}
+    stack = [fn.blocks[0].name]
+    while stack:
+        for s in successors(bmap[stack.pop()].term):
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    fn.blocks = [b for b in fn.blocks if b.name in live]
+    for b in fn.blocks:
+        for p in b.phis:
+            p.entries = [(o, lbl) for o, lbl in p.entries if lbl in live]
+
+
+def idoms(fn):
+    """Immediate dominator of every block the entry reaches (None for
+    the entry), by the iterative algorithm of Cooper, Harvey & Kennedy,
+    "A Simple, Fast Dominance Algorithm" (2001).  Unreachable blocks are
+    left out."""
+    bmap = fn.block_map()
+    entry = fn.blocks[0].name
+    postorder = []
+    seen = {entry}
+    stack = [(entry, iter(successors(bmap[entry].term)))]
+    while stack:
+        n, it = stack[-1]
+        for s in it:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(successors(bmap[s].term))))
+                break
+        else:
+            stack.pop()
+            postorder.append(n)
+    rank = {n: i for i, n in enumerate(postorder)}
     preds = predecessors(fn.blocks)
-    entry = names[0]
-    dom = {n: set(names) for n in names}
-    dom[entry] = {entry}
+
+    def intersect(a, b):
+        while a != b:
+            while rank[a] < rank[b]:
+                a = idom[a]
+            while rank[b] < rank[a]:
+                b = idom[b]
+        return a
+
+    idom = {entry: entry}
     changed = True
     while changed:
         changed = False
-        for n in names[1:]:
-            ps = [dom[p] for p in preds[n]]
-            new = set.intersection(*ps) | {n} if ps else {n}
-            if new != dom[n]:
-                dom[n] = new
+        for n in reversed(postorder[:-1]):
+            new = None
+            for p in preds[n]:
+                if p in idom:
+                    new = p if new is None else intersect(p, new)
+            if idom.get(n) != new:
+                idom[n] = new
                 changed = True
-    return dom
+    idom[entry] = None
+    return idom
 
 
-def reachable_blocks(fn):
-    bmap = fn.block_map()
-    seen = set()
-    stack = [fn.blocks[0].name]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(successors(bmap[n].term))
-    return seen
+def result_ty(instr):
+    """The source type of the value an instruction defines."""
+    if instr.op in CMP:
+        return I1
+    if instr.op in ("alloca", "gep"):
+        return PTR
+    return instr.ty

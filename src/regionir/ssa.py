@@ -3,27 +3,29 @@
 Destruction lowers phis to parallel copies on the incoming edges,
 splitting critical edges; reconstruction is the classic dominance-
 frontier construction with pruned phi placement and a dominator-tree
-renaming walk.
+renaming walk.  The dominator tree comes from `source.idoms`, the
+iterative algorithm of Cooper, Harvey & Kennedy (2001), which the SSA
+checker in `source` shares.
 """
 
-from .source import (Var, Lit, Instr, Phi, Br, Branch, Block, successors,
-                     predecessors, dominators, instr_reads, instr_writes,
-                     reachable_blocks)
+from .source import (Var, Instr, Phi, Br, Branch, Block, successors,
+                     predecessors, idoms, instr_reads, instr_writes,
+                     drop_unreachable, result_ty)
 
 
 class NameGen:
-    """Fresh names that cannot collide with anything already in `fn`."""
+    """Fresh names that cannot collide with anything already in `fn`
+    (or with each other, when there is no `fn` yet)."""
 
-    def __init__(self, fn):
-        used = set(b.name for b in fn.blocks)
-        for name, _ in fn.params:
-            used.add(name)
-        for b in fn.blocks:
-            for i in list(b.phis) + list(b.instrs):
-                for w in instr_writes(i):
-                    used.add(w)
-                for r in instr_reads(i):
-                    used.add(r)
+    def __init__(self, fn=None):
+        used = set()
+        if fn is not None:
+            used.update(b.name for b in fn.blocks)
+            used.update(name for name, _ in fn.params)
+            for b in fn.blocks:
+                for i in list(b.phis) + list(b.instrs):
+                    used.update(instr_writes(i))
+                    used.update(instr_reads(i))
         self.used = used
         self.count = 0
 
@@ -100,19 +102,6 @@ def destruct_ssa(fn):
 
 # -- SSA construction -----------------------------------------------------
 
-def _idoms(fn):
-    dom = dominators(fn)
-    idom = {}
-    for n, ds in dom.items():
-        strict = ds - {n}
-        best = None
-        for d in strict:
-            if best is None or len(dom[d]) > len(dom[best]):
-                best = d
-        idom[n] = best
-    return idom
-
-
 def _frontiers(fn, idom):
     preds = predecessors(fn.blocks)
     df = {b.name: set() for b in fn.blocks}
@@ -159,8 +148,8 @@ def _liveness(fn):
 def construct_ssa(fn):
     """Rebuild SSA form: pruned phi placement on the dominance frontiers,
     then a renaming walk over the dominator tree."""
-    _drop_unreachable(fn)
-    idom = _idoms(fn)
+    drop_unreachable(fn)
+    idom = idoms(fn)
     df = _frontiers(fn, idom)
     live_in = _liveness(fn)
     bmap = fn.block_map()
@@ -174,7 +163,7 @@ def construct_ssa(fn):
                 if w.startswith("."):
                     continue
                 defsites.setdefault(w, set()).add(b.name)
-                var_ty[w] = _write_ty(i)
+                var_ty[w] = result_ty(i)
     for name, _ in fn.params:
         defsites.setdefault(name, set()).add(fn.blocks[0].name)
 
@@ -267,24 +256,6 @@ def construct_ssa(fn):
         sys.setrecursionlimit(old)
     fn.blocks[0].instrs[:0] = entry_undefs
     _drop_identity_copies(fn)
-
-
-def _write_ty(i):
-    from .types import I1, PTR
-    from .source import CMP
-    if i.op in CMP:
-        return I1
-    if i.op in ("alloca", "gep"):
-        return PTR
-    return i.ty
-
-
-def _drop_unreachable(fn):
-    live = reachable_blocks(fn)
-    fn.blocks = [b for b in fn.blocks if b.name in live]
-    for b in fn.blocks:
-        for p in b.phis:
-            p.entries = [(o, lbl) for o, lbl in p.entries if lbl in live]
 
 
 def _drop_identity_copies(fn):

@@ -35,8 +35,8 @@ import random
 import time
 
 from regionir import cli, randprog, render
-from regionir.build import BuildError, MEMVAR, IOVAR, construct, _prepare_tree
-from regionir.controltree import CTBlock, CTLinear, CTBranch, CTLoop
+from regionir.build import BuildError, MEMVAR, IOVAR, construct, prepare_tree
+from regionir.controltree import CTBlock, CTBranch, children
 from regionir.destruct import destruct
 from regionir.parser import parse, check_module
 from regionir.passes import PassConfig, run_pipeline
@@ -224,21 +224,11 @@ def test_criterion_4_dne_idempotent_corpus_wide():
 
 # -- criterion 5: control-tree annotation -------------------------------------
 
-def _tree_children(t):
-    if isinstance(t, CTLinear):
-        return t.children
-    if isinstance(t, CTBranch):
-        return t.alts
-    if isinstance(t, CTLoop):
-        return [t.body]
-    return []
-
-
 def _tree_blocks(t):
     if isinstance(t, CTBlock):
         return [t.block]
     out = []
-    for c in _tree_children(t):
+    for c in children(t):
         out.extend(_tree_blocks(c))
     return out
 
@@ -248,7 +238,7 @@ def _tree_entry(t):
         return t.block
     if isinstance(t, CTBranch):
         return None
-    return _tree_entry(_tree_children(t)[0])
+    return _tree_entry(children(t)[0])
 
 
 def _block_effects(block):
@@ -319,13 +309,13 @@ def _dataflow_rw(t):
 
 
 def _verify_annotation(fn):
-    _, tree = _prepare_tree(fn, {MEMVAR, IOVAR}, thread_io=True)
+    _, tree = prepare_tree(fn, {MEMVAR, IOVAR}, thread_io=True)
 
     def walk(t):
         r, w = _dataflow_rw(t)
         assert r == t.reads, (fn.name, type(t).__name__, r, t.reads)
         assert w == t.writes, (fn.name, type(t).__name__, w, t.writes)
-        for c in _tree_children(t):
+        for c in children(t):
             walk(c)
     walk(tree)
 
@@ -359,7 +349,7 @@ def test_criterion_5_gcd_sets_match_committed_constants():
     demands exactly its live state; demand always threads the state
     pseudo-variables."""
     mod = load_corpus("gcd.ir")
-    _, tree = _prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
+    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
                             thread_io=True)
     entry, loop, exit_, ret = tree.children
     assert tree.reads == {"a", "b"}

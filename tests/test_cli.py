@@ -37,6 +37,16 @@ def test_check_rejects_garbage(tmp_path):
     assert code == 1
 
 
+def test_check_rejects_retyping_copy(tmp_path):
+    """[TRIVIAL] A copy that changes its operand's type is bad input."""
+    p = tmp_path / "mix.ir"
+    p.write_text("export define i64 @f(i64 %a) {\n"
+                 "e:\n  %c = lt i64 %a, 0\n  %w = copy i64 %c\n"
+                 "  ret i64 %w\n}\n")
+    code, _ = run_cli("check", str(p))
+    assert code == 1
+
+
 def test_missing_file_exits_one():
     """[TRIVIAL]"""
     code, _ = run_cli("check", "no/such/file.ir")

@@ -5,7 +5,7 @@ from conftest [DERIVED]; structural claims are [TRIVIAL].
 """
 
 from regionir.parser import parse, check_module
-from regionir.build import construct, _prepare_tree, MEMVAR, IOVAR
+from regionir.build import construct, prepare_tree, MEMVAR, IOVAR
 from regionir.controltree import (CTBlock, CTLinear, CTBranch, CTLoop,
                                   build_control_tree, IrreducibleError)
 from regionir.restructure import restructure
@@ -62,7 +62,7 @@ def test_gcd_tree_shape():
     """[DERIVED] gcd reduces to: entry block, tail-controlled loop
     around the compare/remainder diamond, then the exit blocks."""
     mod = load_corpus("gcd.ir")
-    _, tree = _prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
+    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
                             thread_io=True)
     assert isinstance(tree, CTLinear)
     assert isinstance(tree.children[0], CTBlock)
@@ -77,7 +77,7 @@ def test_gcd_demand_annotation():
     """[DERIVED] The loop node demands exactly the live loop state:
     x and y plus the threaded memory and io pseudo-variables."""
     mod = load_corpus("gcd.ir")
-    _, tree = _prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
+    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
                             thread_io=True)
     loop = tree.children[1]
     assert sorted(loop.demand_in) == [IOVAR, MEMVAR, "x", "y"]

@@ -8,7 +8,7 @@ import pytest
 
 from regionir.graph import Graph, GraphError
 from regionir import ops
-from regionir.types import I1, I32, I64, ctl
+from regionir.types import I1, I32, I64, ctl, fnty
 
 
 def _simple_fn():
@@ -122,7 +122,7 @@ def test_theta_shape():
     one = g.add_simple(inner, ops.const(1, I64), [])
     dec = g.add_simple(inner, ops.binop("sub", I64), [lv, one.outputs[0]])
     zero = g.add_simple(inner, ops.const(0, I64), [])
-    c = g.add_simple(inner, ops.cmpop("ne", I64),
+    c = g.add_simple(inner, ops.binop("ne", I64),
                      [dec.outputs[0], zero.outputs[0]])
     m = g.add_simple(inner, ops.identity_match(I1, 2), [c.outputs[0]])
     g.theta_set_predicate(th, m.outputs[0])
@@ -141,3 +141,136 @@ def test_validate_catches_dangling_result():
     g.lambda_finish(lam, [lam.subregions[0].args[0]])
     g.disconnect(lam.subregions[0].results[0])
     assert g.validate() != []
+
+
+# -- batch port removal ------------------------------------------------------
+
+def _dense(*lists):
+    return all([p.index for p in items] == list(range(len(items)))
+               for items in lists)
+
+
+def _lambda_with_params(g, n):
+    lam = g.begin_lambda(g.root, "f")
+    return lam, [g.lambda_add_param(lam, I64) for _ in range(n)]
+
+
+def test_remove_gamma_entries_and_exits_in_one_batch():
+    """[DERIVED] Dropping entries {1, 3} and exits {0, 2} of a 5-entry,
+    4-exit gamma leaves entries v0, v2, v4 and exits 1, 3, in order,
+    densely renumbered; a used entry or exit is refused untouched."""
+    g = Graph()
+    lam, vs = _lambda_with_params(g, 5)
+    body = lam.subregions[0]
+    sel = g.add_simple(body, ops.const(0, I1), [])
+    m = g.add_simple(body, ops.identity_match(I1, 2), [sel.outputs[0]])
+    gam = g.begin_gamma(body, m.outputs[0], 2)
+    evs = [g.gamma_add_entry(gam, v) for v in vs]
+    outs = [g.gamma_add_exit(gam, evs[e]) for e in (0, 2, 4, 4)]
+    g.lambda_finish(lam, [outs[1], outs[3]])
+    with pytest.raises(GraphError):
+        g.remove_gamma_entries(gam, {0, 1})
+    with pytest.raises(GraphError):
+        g.remove_gamma_exits(gam, {0, 1})
+    assert len(gam.inputs) == 6 and len(gam.outputs) == 4
+    assert g.validate() == []
+
+    g.remove_gamma_exits(gam, {0, 2})
+    g.remove_gamma_entries(gam, {1, 3})
+    assert [u.origin for u in gam.inputs[1:]] == [vs[0], vs[2], vs[4]]
+    assert gam.outputs == [outs[1], outs[3]]
+    for sub in gam.subregions:
+        assert [r.origin for r in sub.results] == [sub.args[1], sub.args[2]]
+        assert _dense(sub.args, sub.results)
+    assert _dense(gam.inputs, gam.outputs)
+    assert g.validate() == []
+
+
+def test_remove_theta_loopvars_in_one_batch():
+    """[DERIVED] Dropping loop variables {0, 2, 4} of five pass-through
+    loop variables keeps 1 and 3, in order; while the dropped arguments
+    still feed their results, the removal is refused untouched."""
+    g = Graph()
+    lam, vs = _lambda_with_params(g, 5)
+    th = g.begin_theta(lam.subregions[0])
+    for v in vs:
+        arg, _ = g.theta_add_loopvar(th, v)
+        g.theta_set_result(th, arg.index, arg)
+    inner = th.subregions[0]
+    stop = g.add_simple(inner, ops.const(0, I1), [])
+    m = g.add_simple(inner, ops.identity_match(I1, 2), [stop.outputs[0]])
+    g.theta_set_predicate(th, m.outputs[0])
+    g.lambda_finish(lam, [th.outputs[1], th.outputs[3]])
+    with pytest.raises(GraphError):
+        g.remove_theta_loopvars(th, {0, 2, 4})
+    assert len(th.inputs) == 5 and g.validate() == []
+
+    for l in (0, 2, 4):
+        g.disconnect(inner.results[l + 1])
+    g.remove_theta_loopvars(th, {0, 2, 4})
+    assert [u.origin for u in th.inputs] == [vs[1], vs[3]]
+    assert [r.origin for r in inner.results[1:]] == inner.args
+    assert _dense(th.inputs, th.outputs, inner.args, inner.results)
+    assert g.validate() == []
+
+
+def test_remove_ctx_vars_and_imports_in_one_batch():
+    """[DERIVED] A lambda capturing imports i0..i3 and using i1 and i3
+    loses context variables {0, 2}; the then unused imports {0, 2} go
+    too, keeping names i1, i3 in order.  A used context variable is
+    refused."""
+    g = Graph()
+    imports = [g.omega_add_import("i%d" % k, I64) for k in range(4)]
+    lam = g.begin_lambda(g.root, "f")
+    ctx = [g.add_ctx(lam, p) for p in imports]
+    body = lam.subregions[0]
+    n = g.add_simple(body, ops.binop("add", I64), [ctx[1], ctx[3]])
+    g.lambda_finish(lam, [n.outputs[0]])
+    g.omega_add_export("f", lam.outputs[0])
+    with pytest.raises(GraphError):
+        g.remove_ctx_vars(lam, {0, 1})
+    assert lam.n_ctx == 4 and g.validate() == []
+
+    g.remove_ctx_vars(lam, {0, 2})
+    assert lam.n_ctx == 2
+    assert [u.origin for u in lam.inputs] == [imports[1], imports[3]]
+    assert n.inputs[0].origin is body.args[0]
+    assert n.inputs[1].origin is body.args[1]
+    g.omega_remove_imports({0, 2})
+    assert g.import_names == ["i1", "i3"]
+    assert _dense(lam.inputs, body.args, g.root.args)
+    assert g.validate() == []
+
+
+def test_remove_phi_recs_in_one_batch():
+    """[DERIVED] In a phi with one context variable and recursion
+    variables f0..f3, dropping {0, 2} keeps f1 and f3 in order, past the
+    context variable; an exported recursion variable is refused."""
+    g = Graph()
+    imp = g.omega_add_import("x", I64)
+    phi = g.begin_phi(g.root)
+    g.add_ctx(phi, imp)
+    ty = fnty([], [I64])
+    for _ in range(4):
+        g.phi_add_rec(phi, ty)
+    body = phi.subregions[0]
+    lams = []
+    for l in range(4):
+        lam = g.begin_lambda(body, "f%d" % l)
+        c = g.add_simple(lam.subregions[0], ops.const(l, I64), [])
+        g.lambda_finish(lam, [c.outputs[0]])
+        g.phi_set_rec(phi, l, lam.outputs[0])
+        lams.append(lam)
+    g.omega_add_export("f1", phi.outputs[1])
+    g.omega_add_export("f3", phi.outputs[3])
+    with pytest.raises(GraphError):
+        g.remove_phi_recs(phi, {0, 1})
+    assert len(phi.outputs) == 4 and g.validate() == []
+
+    g.remove_phi_recs(phi, {0, 2})
+    assert [r.origin for r in body.results] == [lams[1].outputs[0],
+                                                lams[3].outputs[0]]
+    assert len(body.args) == 3 and phi.n_ctx == 1
+    assert [r.origin for r in g.root.results] == phi.outputs
+    assert _dense(phi.outputs, body.args, body.results)
+    assert g.validate() == []

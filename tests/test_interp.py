@@ -103,9 +103,9 @@ def test_fuel_exhaustion_traps():
 
 def test_narrow_arithmetic_wraps():
     """[DERIVED] i8 arithmetic wraps to [-128, 128): 100+100 = -56."""
-    src = ("export define i64 @w(i64 %a) {\n"
+    src = ("export define i8 @w(i64 %a) {\n"
            "e:\n  %x = copy i8 100\n  %y = add i8 %x, %x\n"
-           "  %z = copy i64 %y\n  ret i64 %z\n}")
+           "  ret i8 %y\n}")
     assert _both(src, "w", [0])[1] == [-56]
 
 

@@ -6,8 +6,12 @@ worked out by hand from the grammar and checking rules.
 
 import pytest
 
+from regionir import randprog
+from regionir.build import construct
+from regionir.destruct import destruct
 from regionir.parser import (ParseError, SourceError, parse, check_module,
                              print_module)
+from regionir.source import idoms, successors
 from conftest import corpus_files, load_corpus
 
 
@@ -66,6 +70,20 @@ def test_ret_narrowing_rejected():
         check_module(parse("define i64 @f(i64 %a) { e: ret i8 %a }"))
 
 
+# `%w = copy i64 %c` copies an i1 as an i64.  Construction binds %w to
+# the i1 value itself, so accepting it would give @f an i1 result.
+RETYPING_COPY = ("export define i64 @f(i64 %a) {\n"
+                 "e:\n  %c = lt i64 %a, 0\n  %w = copy i64 %c\n"
+                 "  ret i64 %w\n}")
+
+
+def test_retyping_copy_rejected():
+    """[DERIVED] A copy must declare its variable operand's own type."""
+    with pytest.raises(SourceError, match="copies %c as i64 but it is i1"):
+        check_module(parse(RETYPING_COPY))
+    check_module(parse(RETYPING_COPY.replace("copy i64 %c", "copy i1 %c")))
+
+
 def test_unknown_callee_rejected():
     """[TRIVIAL] Calling a name that is neither defined nor declared
     external fails the check."""
@@ -102,3 +120,54 @@ def test_comments_and_negative_literals():
     check_module(mod)
     fn = mod.functions["f"]
     assert fn.blocks[0].instrs[0].operands[0].value == -16
+
+
+def _brute_idoms(fn):
+    """Immediate dominators from the definition: d dominates n iff n is
+    unreachable from the entry once d is removed.  Unreachable blocks
+    are left out, as in `idoms`."""
+    bmap = fn.block_map()
+    entry = fn.blocks[0].name
+
+    def reach(without):
+        seen, stack = set(), [entry]
+        while stack:
+            n = stack.pop()
+            if n not in seen and n != without:
+                seen.add(n)
+                stack.extend(successors(bmap[n].term))
+        return seen
+
+    live = reach(None)
+    dom = {n: {d for d in live if d == n or n not in reach(d)} for n in live}
+    out = {}
+    for n, ds in dom.items():
+        strict = ds - {n}
+        # the strict dominator that every other strict dominator dominates
+        close = [d for d in strict if strict <= dom[d]]
+        assert len(close) <= 1
+        out[n] = close[0] if close else None
+    return out
+
+
+def _dominator_cases():
+    for name in ("irreducible.ir", "multi_exit.ir", "nested_loops.ir"):
+        mod = load_corpus(name)
+        for fn in mod.functions.values():
+            yield fn
+    for seed in range(4):
+        back = destruct(construct(parse(randprog.generate(seed, size=2))))
+        for fn in back.functions.values():
+            yield fn
+
+
+def test_idoms_match_the_definition():
+    """[DERIVED] Cooper-Harvey-Kennedy immediate dominators equal the
+    ones read off the reachability definition of dominance, on the
+    irreducible, multi-exit and nested-loop corpus functions and on
+    destructed random programs."""
+    cases = 0
+    for fn in _dominator_cases():
+        assert idoms(fn) == _brute_idoms(fn), fn.name
+        cases += 1
+    assert cases >= 8
