@@ -13,6 +13,11 @@ Port indices are dense too.  Variables are removed in batches
 (`remove_gamma_entries(g, ls)` and its siblings take a set of variable
 indices): each affected port list is filtered and renumbered once per
 batch, not once per removed index.
+
+Every edit goes through a few primitives -- `connect`, `disconnect`,
+`divert_users`, node creation, `remove_node` and batch port removal --
+and each bumps `Graph.version`, so a cache of facts derived from the
+graph (the interpreter's region plans) can tell that it is stale.
 """
 
 import heapq
@@ -126,6 +131,7 @@ def _renumber(items):
 
 class Graph:
     def __init__(self):
+        self.version = 0            # bumped by every edit primitive
         self._next = 0
         self.root_node = Node(self._take(), None, "omega")
         self.root = Region(self._take(), owner=self.root_node)
@@ -146,10 +152,12 @@ class Graph:
             raise GraphError("cross-region edge %r -> %r" % (port, use))
         if use.origin is not None:
             self.disconnect(use)
+        self.version += 1
         use.origin = port
         port.users.append(use)
 
     def disconnect(self, use):
+        self.version += 1
         if use.origin is not None:
             use.origin.users.remove(use)
             use.origin = None
@@ -162,6 +170,7 @@ class Graph:
             raise GraphError("divert type mismatch: %s vs %s" % (old.ty, new.ty))
         if old.region is not new.region:
             raise GraphError("cross-region diversion %r -> %r" % (old, new))
+        self.version += 1
         moved = old.users
         old.users = []
         for use in moved:
@@ -177,6 +186,7 @@ class Graph:
         return r
 
     def _new_node(self, region, kind, op=None, name=None):
+        self.version += 1
         n = Node(self._take(), region, kind, op=op, name=name)
         region.nodes.append(n)
         return n
@@ -384,6 +394,7 @@ class Graph:
         for out in node.outputs:
             if out.users:
                 raise GraphError("removing %r whose output still has users" % node)
+        self.version += 1
         for use in node.inputs:
             self.disconnect(use)
         for sub in node.subregions:
@@ -414,6 +425,7 @@ class Graph:
                 if items[i].users:
                     raise GraphError("removing %r, which still has users"
                                      % items[i])
+        self.version += 1
         for items, idxs in uses:
             for i in idxs:
                 self.disconnect(items[i])

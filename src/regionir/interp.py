@@ -12,10 +12,19 @@ the shift amount modulo the width; right shift is arithmetic.  A branch
 or match selector outside the covered range takes the last alternative
 (the default case).
 
+One graph step, one unit of fuel, is one live node evaluated or one
+theta iteration.  Defining the functions and globals of the omega
+region and of phi bodies takes no fuel.  What a region evaluates is a
+static property of the graph, so each region's plan -- its live slice in
+producer-before-consumer order, simple nodes turned into step closures
+-- is built once and cached per graph.  Every edit primitive of `Graph`
+bumps `Graph.version`, and a plan built at another version is rebuilt.
+
 Global cells live at addresses derived from their names, so removing an
 unused global does not shift the addresses in the trace of the rest.
 """
 
+import weakref
 import zlib
 
 from .types import sizeof
@@ -360,8 +369,7 @@ def eval_rvsdg(graph, fn_name, args, fuel=DEFAULT_FUEL, externals=None,
         else:
             env[arg] = global_addr(name)
     machine.mute = True
-    for node in graph.topological_order(graph.root):
-        _eval_node(machine, graph, node, env)
+    _define_all(machine, graph, graph.root, env)
     machine.mute = False
     fv = None
     for nm, res in zip(graph.export_names, graph.root.results):
@@ -389,12 +397,37 @@ def call_value(machine, fv, args):
     return _eval_region(machine, fv.graph, body, env)
 
 
-def _eval_region(machine, graph, region, env):
-    """Evaluate the live slice of a region; `env` maps ports already
-    bound (the arguments) and receives every port evaluated."""
+# graph -> (graph.version when built, {region: plan}); the values hold
+# regions, nodes and ports but never the graph, so the key can die
+_PLANS = weakref.WeakKeyDictionary()
+
+
+def _plan(graph, region):
+    """The region's cached plan: (steps, result origins).  Each step is
+    one node, `step(machine, graph, env)`, in producer-before-consumer
+    order.  The omega region and phi bodies, which only define
+    functions and globals, plan every node; any other region plans its
+    live slice: what its results demand, plus every theta node -- a
+    loop nobody reads from still runs, and it may never terminate."""
+    cached = _PLANS.get(graph)
+    if cached is None or cached[0] != graph.version:
+        cached = _PLANS[graph] = (graph.version, {})
+    plan = cached[1].get(region)
+    if plan is None:
+        nodes = graph.topological_order(region)
+        if region.owner.kind not in ("omega", "phi"):
+            live = _live_slice(region)
+            nodes = [n for n in nodes if n.id in live]
+        plan = cached[1][region] = (
+            tuple(_simple_step(n) if n.kind == "simple" else _node_step(n)
+                  for n in nodes),
+            tuple(r.origin for r in region.results))
+    return plan
+
+
+def _live_slice(region):
     needed = set()
     stack = [r.origin for r in region.results]
-    # a loop nobody reads from still runs -- it may never terminate
     for n in region.nodes:
         if n.kind == "theta":
             needed.add(n.id)
@@ -406,18 +439,36 @@ def _eval_region(machine, graph, region, env):
             continue
         needed.add(p.node.id)
         stack.extend(u.origin for u in p.node.inputs)
-    for node in graph.topological_order(region):
-        if node.id in needed:
-            machine.tick()
-            _eval_node(machine, graph, node, env)
-    return [env[r.origin] for r in region.results]
+    return needed
+
+
+def _eval_region(machine, graph, region, env):
+    """Evaluate a region's plan, one fuel tick per node; `env` maps
+    ports already bound (the arguments) and receives every port
+    evaluated."""
+    steps, results = _plan(graph, region)
+    for step in steps:
+        machine.tick()
+        step(machine, graph, env)
+    return [env[p] for p in results]
+
+
+def _define_all(machine, graph, region, env):
+    """Evaluate every node of the omega region or a phi body, without
+    fuel: defining functions and globals is not a step."""
+    for step in _plan(graph, region)[0]:
+        step(machine, graph, env)
+
+
+def _node_step(node):
+    def step(machine, graph, env):
+        _eval_node(machine, graph, node, env)
+    return step
 
 
 def _eval_node(machine, graph, node, env):
     kind = node.kind
-    if kind == "simple":
-        _eval_simple(machine, graph, node, env)
-    elif kind == "gamma":
+    if kind == "gamma":
         pred = env[node.inputs[0].origin]
         k = len(node.subregions)
         if not 0 <= pred < k:
@@ -463,8 +514,7 @@ def _eval_node(machine, graph, node, env):
         inner = {}
         for inp, arg in zip(node.inputs, body.args[:node.n_ctx]):
             inner[arg] = env[inp.origin]
-        for n in graph.topological_order(body):
-            _eval_node(machine, graph, n, inner)
+        _define_all(machine, graph, body, inner)
         # close the loop: recursion arguments late-bind through `inner`,
         # which the body's function values capture by reference
         for l, res in enumerate(body.results):
@@ -475,49 +525,82 @@ def _eval_node(machine, graph, node, env):
         raise Trap("graph", "cannot evaluate a %s node" % kind)
 
 
-def _eval_simple(machine, graph, node, env):
+def _simple_step(node):
+    """A simple node's step, with its input origins, output ports and
+    constant operands resolved once."""
     op = node.op
-    vals = [env[use.origin] for use in node.inputs]
-    n = op.name
+    n, ty = op.name, op.ty
+    ins = tuple(u.origin for u in node.inputs)
+    outs = tuple(node.outputs)
+    if n in ("const", "undef"):
+        o, = outs
+        v = coerce_literal(op.value, ty) if n == "const" else zero_value(ty)
 
-    def out(*vs):
-        for port, v in zip(node.outputs, vs):
-            env[port] = v
-
-    if n == "const":
-        out(coerce_literal(op.value, op.ty))
-    elif n == "undef":
-        out(zero_value(op.ty))
-    elif n == "neg":
-        out(-vals[0] if op.ty.kind == "f64" else wrap_int(-vals[0], op.ty.width))
+        def step(machine, graph, env):
+            env[o] = v
     elif n == "match":
-        v = vals[0]
+        (a,), (o,) = ins, outs
+        cases = {}
         for key, case in op.table:
-            if v == key:
-                out(case)
-                return
-        out(op.default)
-    elif n == "alloca":
-        out(machine.alloca(op.ty), MEM_TOKEN)
-    elif n == "load":
-        out(machine.load(vals[0]), MEM_TOKEN)
-    elif n == "store":
-        machine.store(vals[0], vals[1])
-        out(MEM_TOKEN)
-    elif n == "gep":
-        out(vals[0] + vals[1] * sizeof(op.ty))
-    elif n == "apply":
-        fv = vals[0]
-        if not isinstance(fv, FnValue):
-            raise Trap("call", "applying a non-function value")
-        if fv.node is None:
-            rets = machine.call_external(fv.name, vals[1:],
-                                         list(op.ty.results))
+            cases.setdefault(key, case)     # the first entry for a key wins
+        default = op.default
+
+        def step(machine, graph, env):
+            env[o] = cases.get(env[a], default)
+    elif n == "neg":
+        (a,), (o,) = ins, outs
+        if ty.kind == "f64":
+            def step(machine, graph, env):
+                env[o] = -env[a]
         else:
-            rets = call_value(machine, fv, vals[1:])
-        out(*rets)
+            w = ty.width
+
+            def step(machine, graph, env):
+                env[o] = wrap_int(-env[a], w)
+    elif n == "alloca":
+        o, m = outs
+
+        def step(machine, graph, env):
+            env[o] = machine.alloca(ty)
+            env[m] = MEM_TOKEN
+    elif n == "load":
+        (a, _), (o, m) = ins, outs
+
+        def step(machine, graph, env):
+            env[o] = machine.load(env[a])
+            env[m] = MEM_TOKEN
+    elif n == "store":
+        (a, v, _), (o,) = ins, outs
+
+        def step(machine, graph, env):
+            machine.store(env[a], env[v])
+            env[o] = MEM_TOKEN
+    elif n == "gep":
+        (a, i), (o,) = ins, outs
+        size = sizeof(ty)
+
+        def step(machine, graph, env):
+            env[o] = env[a] + env[i] * size
+    elif n == "apply":
+        f, params = ins[0], ins[1:]
+
+        def step(machine, graph, env):
+            fv = env[f]
+            vals = [env[p] for p in params]
+            if not isinstance(fv, FnValue):
+                raise Trap("call", "applying a non-function value")
+            if fv.node is None:
+                rets = machine.call_external(fv.name, vals, ty.results)
+            else:
+                rets = call_value(machine, fv, vals)
+            for port, v in zip(outs, rets):
+                env[port] = v
     else:
-        out(eval_binop(n, op.ty, vals[0], vals[1]))
+        (a, b), (o,) = ins, outs
+
+        def step(machine, graph, env):
+            env[o] = eval_binop(n, ty, env[a], env[b])
+    return step
 
 
 def run_to_outcome(thunk):

@@ -443,10 +443,10 @@ def _check_body(mod, ent):
         elif isinstance(t, Ret) and t.operand is not None:
             _check_operand(mod, vartys, t.operand, ent.name)
             if isinstance(t.operand, Var):
+                # construct types the lambda's result by the operand, so
+                # a widening or narrowing ret would change the signature
                 vty = vartys[t.operand.name]
-                narrowing = (vty.kind == "int" and t.ty.kind == "int"
-                             and vty.width > t.ty.width)
-                if vty.kind != t.ty.kind or narrowing:
+                if vty != t.ty:
                     raise SourceError("%s: returns %%%s as %s but it is %s"
                                       % (ent.name, t.operand.name, t.ty, vty))
     ent._vartys = vartys

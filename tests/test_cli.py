@@ -47,6 +47,15 @@ def test_check_rejects_retyping_copy(tmp_path):
     assert code == 1
 
 
+def test_check_rejects_widening_ret(tmp_path):
+    """[TRIVIAL] A ret that changes its operand's type is bad input."""
+    p = tmp_path / "widen.ir"
+    p.write_text("export define i64 @w(i64 %a) {\n"
+                 "e:\n  %x = copy i8 100\n  ret i64 %x\n}\n")
+    code, _ = run_cli("check", str(p))
+    assert code == 1
+
+
 def test_missing_file_exits_one():
     """[TRIVIAL]"""
     code, _ = run_cli("check", "no/such/file.ir")

@@ -1,12 +1,22 @@
 """Interpreter tests for both evaluation levels.
 
 [DERIVED] results were computed by hand from the operational rules;
-[TRIVIAL] tests assert definitional behavior (trap kinds, masking).
+[TRIVIAL] tests assert definitional behavior (trap kinds, masking);
+[PINNED] step counts were recorded from the graph interpreter as it was
+before region plans were cached, and must not drift.
 """
+
+import gc
+import weakref
 
 from regionir.parser import parse, check_module
 from regionir.build import construct
-from regionir.interp import eval_cfg, eval_rvsdg, run_to_outcome
+from regionir.graph import Graph
+from regionir.interp import (DEFAULT_FUEL, Machine, eval_cfg, eval_rvsdg,
+                             run_to_outcome)
+from regionir.ops import binop, const
+from regionir.passes.pipeline import PASSES
+from regionir.types import I64
 
 from conftest import load_corpus, outcome_cfg, outcome_rvsdg
 
@@ -147,3 +157,115 @@ def test_globals_initialized_once():
     out = outcome_cfg(mod, "next", [1])
     assert out[0] == "ok"
     assert outcome_rvsdg(g, "next", [1]) == out
+
+
+# (fixture, export, args, fuel, outcome without the trace, fuel used)
+PINNED_STEPS = [
+    ("collatz.ir", "collatz", (27,), DEFAULT_FUEL, ("ok", [111]), 2204),
+    ("collatz.ir", "collatz", (1000,), DEFAULT_FUEL, ("ok", [142]), 2813),
+    ("fib_rec.ir", "fib", (10,), DEFAULT_FUEL, ("ok", [55]), 1678),
+    ("fib_rec.ir", "fib", (15,), DEFAULT_FUEL, ("ok", [610]), 18740),
+    ("mutual.ir", "parity", (7,), DEFAULT_FUEL, ("ok", [0]), 57),
+    ("mutual.ir", "parity", (40,), DEFAULT_FUEL, ("ok", [1]), 288),
+    ("nested_loops.ir", "grid", (5, 6), DEFAULT_FUEL, ("ok", [150]), 357),
+    ("nested_loops.ir", "grid", (7, 7), DEFAULT_FUEL, ("ok", [441]), 567),
+    ("endless.ir", "spin", (1,), 3000, ("trap", "fuel"), 3001),
+    ("endless.ir", "spin", (0,), 3000, ("ok", [0]), 5),
+]
+
+
+def _run_counted(g, name, args, fuel):
+    machine = Machine(fuel)
+    out = run_to_outcome(lambda: eval_rvsdg(g, name, list(args),
+                                            machine=machine))
+    return out, fuel - machine.fuel
+
+
+def test_graph_step_counts_pinned():
+    """[PINNED] One step is one live node evaluated or one theta
+    iteration: fuel used, results and trap kinds stay exactly as
+    recorded, on a cold plan cache (fresh graph) and a warm one."""
+    for fixture, name, args, fuel, want, steps in PINNED_STEPS:
+        g = construct(load_corpus(fixture))
+        cold = _run_counted(g, name, args, fuel)
+        warm = _run_counted(g, name, args, fuel)
+        assert cold == warm
+        assert (cold[0][:2], cold[1]) == (want, steps), fixture
+
+
+def test_plan_cache_follows_pass_edits():
+    """[DERIVED] A graph evaluated, then changed in place by passes,
+    is evaluated by its new plans: it still agrees with the source."""
+    for fixture, name, passes in (("deadcode.ir", "live", "DNE CNE"),
+                                  ("select_chain.ir", "clamp3",
+                                   "RED INV DNE"),
+                                  ("nested_loops.ir", "grid",
+                                   "URL INV CNE DNE")):
+        mod = load_corpus(fixture)
+        g = construct(mod)
+        inputs = [(3, 4), (-7, 2), (150, 5), (9, 0)]
+        inputs = [a[:len(mod.functions[name].params)] for a in inputs]
+        for p in [None] + passes.split():
+            if p is not None:
+                PASSES[p](g)
+                assert g.validate() == []
+            for args in inputs:
+                assert outcome_rvsdg(g, name, args) == \
+                    outcome_cfg(mod, name, args), (fixture, p, args)
+
+
+def test_plan_cache_sees_a_diverted_result():
+    """[DERIVED] live(a, b) = a + b; diverting the sum's users to a new
+    a * b node makes the next evaluation return the product, which a
+    stale plan could not."""
+    g = construct(load_corpus("deadcode.ir"))
+    assert outcome_rvsdg(g, "live", (3, 4)) == ("ok", [7], [])
+    body = g.export_origin("live").node.subregions[0]
+    add = body.results[0].origin.node
+    a, b = (u.origin for u in add.inputs)
+    mul = g.add_simple(body, binop("mul", I64), [a, b])
+    g.divert_users(add.outputs[0], mul.outputs[0])
+    assert outcome_rvsdg(g, "live", (3, 4)) == ("ok", [12], [])
+
+
+def test_graph_version_counts_every_edit():
+    """[TRIVIAL] connect, disconnect, divert_users, node creation,
+    remove_node and batch port removal each raise Graph.version."""
+    g = Graph()
+    seen = [g.version]
+
+    def bumped():
+        assert g.version > seen[-1]
+        seen.append(g.version)
+
+    lam = g.begin_lambda(g.root, "f")                   # _new_node
+    bumped()
+    body = lam.subregions[0]
+    one = g.add_simple(body, const(1, I64), [])         # _new_node
+    bumped()
+    two = g.add_simple(body, const(2, I64), [])
+    bumped()
+    g.lambda_finish(lam, [one.outputs[0]])              # connect
+    bumped()
+    res = body.results[0]
+    g.connect(res, two.outputs[0])
+    bumped()
+    g.divert_users(two.outputs[0], one.outputs[0])
+    bumped()
+    g.disconnect(res)
+    bumped()
+    g.remove_node(two)
+    bumped()
+    g.omega_add_import("x", I64)
+    g.omega_remove_imports({0})                         # _drop_ports
+    bumped()
+
+
+def test_plan_cache_does_not_keep_graphs_alive():
+    """[TRIVIAL] Plans are cached per graph without keeping it alive."""
+    g = construct(load_corpus("gcd.ir"))
+    assert outcome_rvsdg(g, "gcd", (48, 18)) == ("ok", [6], [])
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None

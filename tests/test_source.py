@@ -81,7 +81,22 @@ def test_retyping_copy_rejected():
     """[DERIVED] A copy must declare its variable operand's own type."""
     with pytest.raises(SourceError, match="copies %c as i64 but it is i1"):
         check_module(parse(RETYPING_COPY))
-    check_module(parse(RETYPING_COPY.replace("copy i64 %c", "copy i1 %c")))
+    check_module(parse(RETYPING_COPY.replace("copy i64 %c", "copy i1 %c")
+                       .replace("define i64", "define i1")
+                       .replace("ret i64", "ret i1")))
+
+
+WIDENING_RET = ("export define i64 @w(i64 %a) {\n"
+                "e:\n  %x = copy i8 100\n  ret i64 %x\n}")
+
+
+def test_widening_ret_rejected():
+    """[DERIVED] A ret must declare its variable operand's own type:
+    `ret i64 %x` with an i8 `%x` would make the function return i8."""
+    with pytest.raises(SourceError, match="returns %x as i64 but it is i8"):
+        check_module(parse(WIDENING_RET))
+    check_module(parse(WIDENING_RET.replace("define i64", "define i8")
+                       .replace("ret i64", "ret i8")))
 
 
 def test_unknown_callee_rejected():
