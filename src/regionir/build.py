@@ -16,13 +16,12 @@ function type is lifted so the state kinds appear as trailing
 parameters and results.
 """
 
-import copy
-
 from .types import I64, PTR, MEM, IO, lift
 from . import ops
 from .graph import Graph
 from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
-                     compute_ipg, drop_unreachable, result_ty)
+                     compute_ipg, copy_function, drop_unreachable,
+                     result_ty)
 from .parser import check_module
 from .ssa import destruct_ssa
 from .restructure import restructure, tarjan
@@ -215,7 +214,7 @@ def prepare_tree(fn, after, thread_io):
     control tree; returns the restructured copy and the tree.
     Unreachable blocks go first: their edges would otherwise feed bogus
     predecessors into the restructuring."""
-    work = copy.deepcopy(fn)
+    work = copy_function(fn)
     drop_unreachable(work)
     destruct_ssa(work)
     restructure(work)

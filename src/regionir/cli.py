@@ -34,14 +34,6 @@ def _load(path):
     return mod
 
 
-def _make_graph(mod):
-    g = construct(mod)
-    bad = g.validate()
-    if bad:
-        raise GraphError("constructed graph is invalid: " + "; ".join(bad))
-    return g
-
-
 def _pass_config(ns):
     cfg = PassConfig(unroll_factor=ns.unroll_factor)
     if ns.passes is not None:
@@ -114,20 +106,20 @@ def cmd_check(ns, out):
 
 
 def cmd_construct(ns, out):
-    g = _make_graph(_load(ns.file))
+    g = construct(_load(ns.file))
     out.write(render.dump(g))
 
 
 def cmd_opt(ns, out):
     mod = _load(ns.file)
-    g = _make_graph(mod)
+    g = construct(mod)
     run_pipeline(g, _pass_config(ns))
     out.write(print_module(destruct(g)))
 
 
 def cmd_destruct(ns, out):
     mod = _load(ns.file)
-    g = _make_graph(mod)
+    g = construct(mod)
     if ns.passes is not None:
         run_pipeline(g, _pass_config(ns))
     out.write(print_module(destruct(g)))
@@ -137,7 +129,7 @@ def cmd_stats(ns, out):
     mod = _load(ns.file)
     n_instrs = sum(len(b.phis) + len(b.instrs) + 1
                    for fn in mod.functions.values() for b in fn.blocks)
-    g = _make_graph(mod)
+    g = construct(mod)
     if ns.passes is not None:
         steps = run_pipeline(g, _pass_config(ns))
         out.write(format_stats(steps) + "\n")
@@ -168,7 +160,7 @@ def cmd_dot(ns, out):
                                 thread_io=True)
         out.write(render.dot_tree(tree, name))
     else:
-        g = _make_graph(mod)
+        g = construct(mod)
         if ns.passes is not None:
             run_pipeline(g, _pass_config(ns))
         out.write(render.dot_rvsdg(g))
@@ -182,7 +174,7 @@ def cmd_run(ns, out):
         ref = run_to_outcome(lambda: eval_cfg(mod, name, list(args),
                                               fuel=ns.fuel))
     if ns.level != "cfg":
-        g = _make_graph(mod)
+        g = construct(mod)
         if ns.passes is not None:
             run_pipeline(g, _pass_config(ns))
         got = run_to_outcome(lambda: eval_rvsdg(g, name, list(args),
@@ -202,7 +194,7 @@ def cmd_run(ns, out):
 
 def cmd_roundtrip(ns, out):
     mod = _load(ns.file)
-    g = _make_graph(mod)
+    g = construct(mod)
     if ns.passes is not None:
         run_pipeline(g, _pass_config(ns))
     back = destruct(g)

@@ -8,6 +8,12 @@ both directions.
 
 All handles are dense integers assigned per graph, and every traversal
 breaks ties by ascending id, which makes the passes deterministic.
+`region.nodes` holds a region's nodes in ascending id order: the only
+additions are fresh nodes, whose ids are larger than any before, and
+removal keeps the order of the rest.  `validate` checks this ("node n
+out of id order in region r").  Region and node walks rest on it, and so
+does `topological_order`, which returns `region.nodes` itself when every
+in-region edge runs from a lower id to a higher one.
 
 Port indices are dense too.  Variables are removed in batches
 (`remove_gamma_entries(g, ls)` and its siblings take a set of variable
@@ -473,7 +479,11 @@ class Graph:
     # -- traversal --------------------------------------------------------
 
     def topological_order(self, region):
-        """Producer-before-consumer order, ties broken by ascending id."""
+        """Producer-before-consumer order, ties broken by ascending id.
+        When the nodes are in id order and every in-region edge runs
+        from a lower id to a higher one, that order is `region.nodes`."""
+        if _forward(region):
+            return list(region.nodes)
         pending = {}
         consumers = {}
         for n in region.nodes:
@@ -506,133 +516,166 @@ class Graph:
         while stack:
             r = stack.pop()
             yield r
-            for n in sorted(r.nodes, key=lambda n: n.id, reverse=True):
+            for n in reversed(r.nodes):
                 stack.extend(reversed(n.subregions))
 
     def all_nodes(self):
         for r in self.regions():
-            for n in sorted(r.nodes, key=lambda n: n.id):
-                yield n
+            yield from r.nodes
 
     # -- validation -------------------------------------------------------
 
     def validate(self):
-        """Check every structural invariant; returns all violations."""
+        """Check every structural invariant; returns all violations, in
+        walk order.  Cycles are found by `topological_order`."""
         bad = []
-
-        def check(cond, msg, *fmt):
-            if not cond:
-                bad.append(msg % fmt if fmt else msg)
-
         for region in self.regions():
+            rid = region.id
             for i, a in enumerate(region.args):
-                check(a.index == i and a.region is region and a.node is None,
-                      "argument bookkeeping broken in region %d", region.id)
+                if a.index != i or a.region is not region or a.node is not None:
+                    bad.append("argument bookkeeping broken in region %d" % rid)
             for i, res in enumerate(region.results):
-                check(res.index == i and res.region is region,
-                      "result bookkeeping broken in region %d", region.id)
-                self._check_use(res, region, check)
+                if res.index != i or res.region is not region:
+                    bad.append("result bookkeeping broken in region %d" % rid)
+                _check_use(res, region, bad)
+            last = -1
             for n in region.nodes:
-                check(n.region is region, "node %d in wrong region", n.id)
+                nid = n.id
+                if nid <= last:
+                    bad.append("node %d out of id order in region %d" % (nid, rid))
+                last = nid
+                if n.region is not region:
+                    bad.append("node %d in wrong region" % nid)
                 for i, use in enumerate(n.inputs):
-                    check(use.index == i, "input index broken on node %d", n.id)
-                    self._check_use(use, region, check)
+                    if use.index != i:
+                        bad.append("input index broken on node %d" % nid)
+                    _check_use(use, region, bad)
                 for i, out in enumerate(n.outputs):
-                    check(out.index == i and out.region is region,
-                          "output bookkeeping broken on node %d", n.id)
+                    if out.index != i or out.region is not region:
+                        bad.append("output bookkeeping broken on node %d" % nid)
                     for u in out.users:
-                        check(u.origin is out, "user list broken on node %d", n.id)
-                self._check_node(n, check)
+                        if u.origin is not out:
+                            bad.append("user list broken on node %d" % nid)
+                self._check_node(n, bad)
             try:
                 self.topological_order(region)
             except GraphError as e:
                 bad.append(str(e))
         return bad
 
-    def _check_use(self, use, region, check):
-        p = use.origin
-        check(p is not None, "%r is not the user of any edge", use)
-        if p is None:
-            return
-        check(use in p.users, "%r missing from its origin's user list", use)
-        check(p.region is region, "%r crosses regions from %r", use, p)
-        check(use.ty == p.ty, "type mismatch %s vs %s at %r", use.ty, p.ty, use)
-
-    def _check_node(self, n, check):
+    def _check_node(self, n, bad):
+        nid = n.id
         for sub in n.subregions:
-            check(sub.owner is n, "subregion owner broken on node %d", n.id)
+            if sub.owner is not n:
+                bad.append("subregion owner broken on node %d" % nid)
         if n.kind == "simple":
-            ins, outs = n.op.signature()
-            check(tuple(i.ty for i in n.inputs) == ins
-                  and tuple(o.ty for o in n.outputs) == outs,
-                  "node %d signature does not match operation %s", n.id, n.op)
-            check(not n.subregions, "simple node %d has subregions", n.id)
+            tys = (tuple([i.ty for i in n.inputs]), tuple([o.ty for o in n.outputs]))
+            if tys != n.op.signature():
+                bad.append("node %d signature does not match operation %s" % (nid, n.op))
+            if n.subregions:
+                bad.append("simple node %d has subregions" % nid)
         elif n.kind == "gamma":
             k = len(n.subregions)
-            check(k >= 2, "gamma %d has fewer than 2 subregions", n.id)
-            check(n.inputs and n.inputs[0].ty == ctl(k),
-                  "gamma %d predicate is not ctl%d", n.id, k)
-            sigs = {(tuple(a.ty for a in r.args), tuple(x.ty for x in r.results))
-                    for r in n.subregions}
-            check(len(sigs) == 1, "gamma %d subregion signatures differ", n.id)
-            for r in n.subregions:
-                check(len(r.args) == len(n.inputs) - 1,
-                      "gamma %d entry variables malformed", n.id)
-                check(len(r.results) == len(n.outputs),
-                      "gamma %d exit variables malformed", n.id)
-                check(all(a.ty == n.inputs[i + 1].ty for i, a in enumerate(r.args)),
-                      "gamma %d entry variable types differ", n.id)
-                check(all(x.ty == n.outputs[i].ty for i, x in enumerate(r.results)),
-                      "gamma %d exit variable types differ", n.id)
+            if k < 2:
+                bad.append("gamma %d has fewer than 2 subregions" % nid)
+            if not (n.inputs and n.inputs[0].ty == ctl(k)):
+                bad.append("gamma %d predicate is not ctl%d" % (nid, k))
+            entry, exit_ = [i.ty for i in n.inputs[1:]], [o.ty for o in n.outputs]
+            sigs = [([a.ty for a in r.args], [x.ty for x in r.results])
+                    for r in n.subregions]
+            if not sigs or any(sig != sigs[0] for sig in sigs):
+                bad.append("gamma %d subregion signatures differ" % nid)
+            for args, results in sigs:
+                if len(args) != len(entry):
+                    bad.append("gamma %d entry variables malformed" % nid)
+                if len(results) != len(exit_):
+                    bad.append("gamma %d exit variables malformed" % nid)
+                if args[:len(entry)] != entry[:len(args)]:
+                    bad.append("gamma %d entry variable types differ" % nid)
+                if results[:len(exit_)] != exit_[:len(results)]:
+                    bad.append("gamma %d exit variable types differ" % nid)
         elif n.kind == "theta":
-            check(len(n.subregions) == 1, "theta %d needs one subregion", n.id)
+            if len(n.subregions) != 1:
+                bad.append("theta %d needs one subregion" % nid)
             body = n.subregions[0]
             ok = (len(n.inputs) == len(n.outputs) == len(body.args)
                   == len(body.results) - 1)
-            check(ok, "theta %d signature tuples disagree", n.id)
-            check(bool(body.results) and body.results[0].ty == ctl(2),
-                  "theta %d result 0 is not the ctl2 predicate", n.id)
-            if ok:
-                for l in range(len(n.inputs)):
-                    check(n.inputs[l].ty == body.args[l].ty
-                          == body.results[l + 1].ty == n.outputs[l].ty,
-                          "theta %d loop variable %d types disagree", n.id, l)
+            if not ok:
+                bad.append("theta %d signature tuples disagree" % nid)
+            if not (body.results and body.results[0].ty == ctl(2)):
+                bad.append("theta %d result 0 is not the ctl2 predicate" % nid)
+            for l, (i, a, r, o) in enumerate(zip(n.inputs, body.args,
+                                                 body.results[1:], n.outputs)):
+                if ok and (i.ty, a.ty, r.ty) != (a.ty, r.ty, o.ty):
+                    bad.append("theta %d loop variable %d types disagree" % (nid, l))
         elif n.kind == "lambda":
-            check(len(n.subregions) == 1 and len(n.outputs) == 1,
-                  "lambda %d shape broken", n.id)
+            if len(n.subregions) != 1 or len(n.outputs) != 1:
+                bad.append("lambda %d shape broken" % nid)
             if n.outputs:
                 ty = n.outputs[0].ty
                 body = n.subregions[0]
-                check(ty.kind == "fn"
-                      and ty.params == tuple(a.ty for a in body.args[n.n_ctx:])
-                      and ty.results == tuple(r.ty for r in body.results),
-                      "lambda %d output type disagrees with its region", n.id)
-            check(len(n.inputs) == n.n_ctx, "lambda %d has non-context inputs", n.id)
+                if not (ty.kind == "fn"
+                        and ty.params == tuple([a.ty for a in body.args[n.n_ctx:]])
+                        and ty.results == tuple([r.ty for r in body.results])):
+                    bad.append("lambda %d output type disagrees with its region" % nid)
+            if len(n.inputs) != n.n_ctx:
+                bad.append("lambda %d has non-context inputs" % nid)
         elif n.kind == "delta":
-            check(len(n.subregions) == 1 and len(n.outputs) == 1
-                  and n.outputs[0].ty == PTR,
-                  "delta %d shape broken", n.id)
-            check(len(n.subregions[0].results) == 1,
-                  "delta %d must have exactly one result", n.id)
-            check(len(n.inputs) == n.n_ctx, "delta %d has non-context inputs", n.id)
+            if not (len(n.subregions) == 1 and len(n.outputs) == 1
+                    and n.outputs[0].ty == PTR):
+                bad.append("delta %d shape broken" % nid)
+            if len(n.subregions[0].results) != 1:
+                bad.append("delta %d must have exactly one result" % nid)
+            if len(n.inputs) != n.n_ctx:
+                bad.append("delta %d has non-context inputs" % nid)
         elif n.kind == "phi":
-            check(len(n.subregions) == 1, "phi %d needs one subregion", n.id)
+            if len(n.subregions) != 1:
+                bad.append("phi %d needs one subregion" % nid)
             body = n.subregions[0]
             nrec = len(n.outputs)
-            check(len(body.results) == nrec,
-                  "phi %d recursion variables malformed", n.id)
-            check(len(body.args) == n.n_ctx + nrec,
-                  "phi %d arguments malformed", n.id)
-            for l in range(nrec):
-                if l < len(body.results) and n.n_ctx + l < len(body.args):
-                    check(body.results[l].ty == body.args[n.n_ctx + l].ty
-                          == n.outputs[l].ty,
-                          "phi %d recursion variable %d types disagree", n.id, l)
+            if len(body.results) != nrec:
+                bad.append("phi %d recursion variables malformed" % nid)
+            if len(body.args) != n.n_ctx + nrec:
+                bad.append("phi %d arguments malformed" % nid)
+            recs = zip(body.results, body.args[n.n_ctx:], n.outputs)
+            for l, (r, a, o) in enumerate(recs):
+                if (r.ty, a.ty) != (a.ty, o.ty):
+                    bad.append("phi %d recursion variable %d types disagree" % (nid, l))
             for inner in body.nodes:
-                check(inner.kind in ("lambda", "delta"),
-                      "phi %d contains a %s node", n.id, inner.kind)
+                if inner.kind not in ("lambda", "delta"):
+                    bad.append("phi %d contains a %s node" % (nid, inner.kind))
         elif n.kind == "omega":
-            check(n is self.root_node, "stray omega node %d", n.id)
-            check(not n.inputs and not n.outputs, "omega has ports")
+            if n is not self.root_node:
+                bad.append("stray omega node %d" % nid)
+            if n.inputs or n.outputs:
+                bad.append("omega has ports")
         else:
-            check(False, "unknown node kind %s", n.kind)
+            bad.append("unknown node kind %s" % n.kind)
+
+
+def _check_use(use, region, bad):
+    p = use.origin
+    if p is None:
+        bad.append("%r is not the user of any edge" % use)
+        return
+    if use not in p.users:
+        bad.append("%r missing from its origin's user list" % use)
+    if p.region is not region:
+        bad.append("%r crosses regions from %r" % (use, p))
+    if use.ty is not p.ty and use.ty != p.ty:
+        bad.append("type mismatch %s vs %s at %r" % (use.ty, p.ty, use))
+
+
+def _forward(region):
+    """Whether `region.nodes` is in ascending id order and every edge
+    between two of its nodes runs from a lower id to a higher one."""
+    last = -1
+    for n in region.nodes:
+        if n.id <= last:
+            return False
+        last = n.id
+        for use in n.inputs:
+            m = use.origin.node if use.origin is not None else None
+            if m is not None and m.region is region and m.id >= last:
+                return False
+    return True

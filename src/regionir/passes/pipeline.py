@@ -45,7 +45,7 @@ def parse_passes(text):
 
 
 def node_count(graph):
-    return sum(1 for _ in graph.all_nodes())
+    return sum(len(r.nodes) for r in graph.regions())
 
 
 def run_pipeline(graph, config=None):

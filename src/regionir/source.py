@@ -1,9 +1,9 @@
 """The CFG-based source language: modules, functions, globals, blocks,
-and the CFG toolkit the other modules share: successors and
-predecessors, read/write sets, unreachable-block removal, immediate
-dominator tree, and the result type of an instruction."""
+and the CFG toolkit the other modules share: a function copy to rewrite
+in place, successors and predecessors, read/write sets, unreachable-block
+removal, immediate dominator tree, and the result type of an instruction."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .types import Ty, I1, I64, F64, PTR, fnty
 
@@ -123,6 +123,24 @@ class Module:
         if name in self.externals:
             return self.externals[name]
         raise KeyError("undefined name @%s" % name)
+
+
+def copy_function(fn):
+    """A copy of `fn` that may be rewritten in place: new blocks, phis,
+    instructions, terminators and lists.  Operands and types are
+    immutable, so the copy shares them."""
+    def term(t):
+        if isinstance(t, Branch):
+            return replace(t, targets=list(t.targets))
+        return replace(t)
+
+    return replace(fn, params=list(fn.params), blocks=[
+        Block(b.name,
+              [replace(p, entries=list(p.entries)) for p in b.phis],
+              [replace(i, operands=list(i.operands), arg_tys=list(i.arg_tys))
+               for i in b.instrs],
+              term(b.term))
+        for b in fn.blocks])
 
 
 def successors(term):

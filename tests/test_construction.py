@@ -4,7 +4,7 @@ The oracle for behavioral claims is the twin-interpreter comparison
 from conftest [DERIVED]; structural claims are [TRIVIAL].
 """
 
-from regionir.parser import parse, check_module
+from regionir.parser import parse, check_module, print_module
 from regionir.build import construct, prepare_tree, MEMVAR, IOVAR
 from regionir.controltree import (CTBlock, CTLinear, CTBranch, CTLoop,
                                   build_control_tree, IrreducibleError)
@@ -15,8 +15,12 @@ from conftest import assert_equivalent, build, load_corpus
 
 def test_corpus_constructs_and_validates(fixture_name):
     """[TRIVIAL] Every corpus program builds a graph with zero
-    structural violations."""
-    build(load_corpus(fixture_name))
+    structural violations, and construction leaves the module as it
+    was: it rewrites copies of the function bodies."""
+    mod = load_corpus(fixture_name)
+    text = print_module(mod)
+    build(mod)
+    assert print_module(mod) == text
 
 
 def test_corpus_construction_is_behavior_preserving(fixture_name):

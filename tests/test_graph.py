@@ -4,11 +4,20 @@ Each test names its oracle: [TRIVIAL] asserts definitional behavior,
 [DERIVED] values were computed by hand from the documented semantics.
 """
 
+import heapq
+from types import SimpleNamespace
+
 import pytest
 
-from regionir.graph import Graph, GraphError
-from regionir import ops
+from regionir.build import construct
+from regionir.graph import Graph, GraphError, Port, Region, Use
+from regionir.parser import parse, check_module
+from regionir.passes import PassConfig
+from regionir.passes.pipeline import PASSES
+from regionir import ops, randprog
 from regionir.types import I1, I32, I64, ctl, fnty
+
+from conftest import corpus_files, load_corpus
 
 
 def _simple_fn():
@@ -274,3 +283,404 @@ def test_remove_phi_recs_in_one_batch():
     assert [r.origin for r in g.root.results] == phi.outputs
     assert _dense(phi.outputs, body.args, body.results)
     assert g.validate() == []
+
+
+# -- every validate message ---------------------------------------------------
+
+def _zoo():
+    """A small valid graph with a node of every kind: a delta, a lambda
+    holding a gamma and a theta, and a phi holding a lambda."""
+    g = Graph()
+    z = SimpleNamespace(g=g)
+    z.imp = g.omega_add_import("x", I64)
+    z.d = g.begin_delta(g.root, "d", I64)
+    z.dreg = z.d.subregions[0]
+    z.c = g.add_simple(z.dreg, ops.const(7, I64), [])
+    g.delta_finish(z.d, z.c.outputs[0])
+    z.lam = g.begin_lambda(g.root, "f")
+    ctx = g.add_ctx(z.lam, z.imp)
+    z.body = z.lam.subregions[0]
+    p = g.lambda_add_param(z.lam, I1)
+    z.v = g.lambda_add_param(z.lam, I64)
+    z.m = g.add_simple(z.body, ops.identity_match(I1, 2), [p])
+    z.gam = g.begin_gamma(z.body, z.m.outputs[0], 2)
+    z.ev = g.gamma_add_entry(z.gam, z.v)
+    z.ec = g.gamma_add_entry(z.gam, ctx)
+    z.sub0, z.sub1 = z.gam.subregions
+    z.add = g.add_simple(z.sub1, ops.binop("add", I64), [z.ev[1], z.ec[1]])
+    gout = g.gamma_add_exit(z.gam, [z.ev[0], z.add.outputs[0]])
+    z.th = g.begin_theta(z.body)
+    lv, tout = g.theta_add_loopvar(z.th, gout)
+    z.inner = z.th.subregions[0]
+    stop = g.add_simple(z.inner, ops.const(0, I1), [])
+    tm = g.add_simple(z.inner, ops.identity_match(I1, 2), [stop.outputs[0]])
+    g.theta_set_predicate(z.th, tm.outputs[0])
+    g.theta_set_result(z.th, 0, lv)
+    g.lambda_finish(z.lam, [tout])
+    g.omega_add_export("f", z.lam.outputs[0])
+    z.phi = g.begin_phi(g.root)
+    g.add_ctx(z.phi, z.imp)
+    z.rarg, rout = g.phi_add_rec(z.phi, fnty([], [I64]))
+    z.pbody = z.phi.subregions[0]
+    pl = g.begin_lambda(z.pbody, "r")
+    k = g.add_simple(pl.subregions[0], ops.const(1, I64), [])
+    g.lambda_finish(pl, [k.outputs[0]])
+    g.phi_set_rec(z.phi, 0, pl.outputs[0])
+    g.omega_add_export("r", rout)
+    return z
+
+
+def _extra_input(node, origin):
+    use = Use(origin.ty, len(node.inputs), node=node, region=node.region)
+    use.origin = origin
+    origin.users.append(use)
+    node.inputs.append(use)
+
+
+def _break_argument(z):
+    z.body.args[1].index = 9
+    return ["argument bookkeeping broken in region %d" % z.body.id]
+
+
+def _break_result(z):
+    z.body.results[0].index = 9
+    return ["result bookkeeping broken in region %d" % z.body.id]
+
+
+def _break_input_index(z):
+    z.add.inputs[0].index = 1
+    return ["input index broken on node %d" % z.add.id]
+
+
+def _break_output(z):
+    z.add.outputs[0].index = 4
+    return ["output bookkeeping broken on node %d" % z.add.id]
+
+
+def _break_user_list(z):
+    z.m.outputs[0].users.append(z.add.inputs[0])
+    return ["user list broken on node %d" % z.m.id]
+
+
+def _break_missing_user(z):
+    z.ev[1].users.remove(z.add.inputs[0])
+    return ["%r missing from its origin's user list" % z.add.inputs[0]]
+
+
+def _break_wrong_region(z):
+    z.add.region = z.body
+    return ["node %d in wrong region" % z.add.id]
+
+
+def _break_cross_region(z):
+    use = z.add.inputs[1]
+    z.ec[1].users.remove(use)
+    use.origin = z.v
+    z.v.users.append(use)
+    return ["%r crosses regions from %r" % (use, z.v)]
+
+
+def _break_type(z):
+    use = z.add.inputs[0]
+    use.ty = I32
+    return ["type mismatch i32 vs i64 at %r" % use,
+            "node %d signature does not match operation add" % z.add.id]
+
+
+def _break_dangling_use(z):
+    z.g.disconnect(z.add.inputs[0])
+    return ["%r is not the user of any edge" % z.add.inputs[0]]
+
+
+def _break_subregion_owner(z):
+    z.inner.owner = z.lam
+    return ["subregion owner broken on node %d" % z.th.id]
+
+
+def _break_simple_signature(z):
+    z.add.op = ops.binop("add", I32)
+    return ["node %d signature does not match operation add" % z.add.id]
+
+
+def _break_simple_subregions(z):
+    z.add.subregions.append(Region(99, owner=z.add))
+    return ["simple node %d has subregions" % z.add.id]
+
+
+def _break_gamma_count(z):
+    z.gam.subregions.pop()
+    return ["gamma %d has fewer than 2 subregions" % z.gam.id,
+            "gamma %d predicate is not ctl1" % z.gam.id]
+
+
+def _break_gamma_predicate(z):
+    use = z.gam.inputs[0]
+    use.ty = ctl(3)
+    return ["type mismatch ctl3 vs ctl2 at %r" % use,
+            "gamma %d predicate is not ctl2" % z.gam.id]
+
+
+def _break_gamma_signatures(z):
+    z.ev[0].ty = I32
+    return ["gamma %d subregion signatures differ" % z.gam.id,
+            "gamma %d entry variable types differ" % z.gam.id,
+            "type mismatch i64 vs i32 at %r" % z.sub0.results[0]]
+
+
+def _break_gamma_entries(z):
+    z.sub1.args.pop()
+    return ["gamma %d subregion signatures differ" % z.gam.id,
+            "gamma %d entry variables malformed" % z.gam.id]
+
+
+def _break_gamma_exits(z):
+    z.sub1.results.pop()
+    return ["gamma %d subregion signatures differ" % z.gam.id,
+            "gamma %d exit variables malformed" % z.gam.id]
+
+
+def _break_gamma_entry_types(z):
+    for sub in z.gam.subregions:
+        sub.args[0].ty = I32
+    return ["gamma %d entry variable types differ" % z.gam.id] * 2 + [
+        "type mismatch i64 vs i32 at %r" % z.sub0.results[0],
+        "type mismatch i64 vs i32 at %r" % z.add.inputs[0]]
+
+
+def _break_gamma_exit_types(z):
+    z.gam.outputs[0].ty = I32
+    return ["gamma %d exit variable types differ" % z.gam.id] * 2 + [
+        "type mismatch i64 vs i32 at %r" % z.th.inputs[0]]
+
+
+def _break_theta_count(z):
+    z.th.subregions.append(Region(99, owner=z.th))
+    return ["theta %d needs one subregion" % z.th.id]
+
+
+def _break_theta_tuples(z):
+    z.th.outputs.pop()
+    return ["theta %d signature tuples disagree" % z.th.id]
+
+
+def _break_theta_predicate(z):
+    z.inner.results[0].ty = I1
+    return ["theta %d result 0 is not the ctl2 predicate" % z.th.id,
+            "type mismatch i1 vs ctl2 at %r" % z.inner.results[0]]
+
+
+def _break_theta_loopvar(z):
+    z.th.outputs[0].ty = I32
+    return ["type mismatch i64 vs i32 at %r" % z.body.results[0],
+            "theta %d loop variable 0 types disagree" % z.th.id]
+
+
+def _break_lambda_shape(z):
+    z.lam.outputs.append(Port(I64, 1, node=z.lam, region=z.g.root))
+    return ["lambda %d shape broken" % z.lam.id]
+
+
+def _break_lambda_type(z):
+    ty = fnty([I64], [I64])
+    old = z.lam.outputs[0].ty
+    z.lam.outputs[0].ty = ty
+    return ["type mismatch %s vs %s at %r" % (old, ty, z.g.root.results[0]),
+            "lambda %d output type disagrees with its region" % z.lam.id]
+
+
+def _break_lambda_inputs(z):
+    _extra_input(z.lam, z.imp)
+    return ["lambda %d has non-context inputs" % z.lam.id]
+
+
+def _break_delta_shape(z):
+    z.d.outputs[0].ty = I64
+    return ["delta %d shape broken" % z.d.id]
+
+
+def _break_delta_results(z):
+    use = Use(I64, 1, region=z.dreg)
+    z.g.connect(use, z.c.outputs[0])
+    z.dreg.results.append(use)
+    return ["delta %d must have exactly one result" % z.d.id]
+
+
+def _break_delta_inputs(z):
+    _extra_input(z.d, z.imp)
+    return ["delta %d has non-context inputs" % z.d.id]
+
+
+def _break_phi_count(z):
+    z.phi.subregions.append(Region(99, owner=z.phi))
+    return ["phi %d needs one subregion" % z.phi.id]
+
+
+def _break_phi_recs(z):
+    z.pbody.results.pop()
+    return ["phi %d recursion variables malformed" % z.phi.id]
+
+
+def _break_phi_args(z):
+    z.pbody.args.pop()
+    return ["phi %d arguments malformed" % z.phi.id]
+
+
+def _break_phi_rec_types(z):
+    z.rarg.ty = I64
+    return ["phi %d recursion variable 0 types disagree" % z.phi.id]
+
+
+def _break_phi_contents(z):
+    z.g.add_simple(z.pbody, ops.const(0, I64), [])
+    return ["phi %d contains a simple node" % z.phi.id]
+
+
+def _break_stray_omega(z):
+    n = z.g.add_simple(z.body, ops.const(0, I64), [])
+    n.kind = "omega"
+    return ["stray omega node %d" % n.id, "omega has ports"]
+
+
+def _break_kind(z):
+    n = z.g.add_simple(z.body, ops.const(0, I64), [])
+    n.kind = "bogus"
+    return ["unknown node kind bogus"]
+
+
+def _break_cycle(z):
+    n = z.g.add_simple(z.sub1, ops.binop("add", I64),
+                       [z.add.outputs[0], z.ec[1]])
+    z.g.connect(z.add.inputs[0], n.outputs[0])
+    return ["cycle among nodes of region %d" % z.sub1.id]
+
+
+def _break_id_order(z):
+    nodes = z.body.nodes
+    nodes[0], nodes[1] = nodes[1], nodes[0]
+    return ["node %d out of id order in region %d" % (z.m.id, z.body.id)]
+
+
+BREAKAGES = [
+    _break_argument, _break_result, _break_input_index, _break_output,
+    _break_user_list, _break_missing_user, _break_wrong_region,
+    _break_cross_region, _break_type, _break_dangling_use,
+    _break_subregion_owner, _break_simple_signature, _break_simple_subregions,
+    _break_gamma_count, _break_gamma_predicate, _break_gamma_signatures,
+    _break_gamma_entries, _break_gamma_exits, _break_gamma_entry_types,
+    _break_gamma_exit_types,
+    _break_theta_count, _break_theta_tuples, _break_theta_predicate,
+    _break_theta_loopvar,
+    _break_lambda_shape, _break_lambda_type, _break_lambda_inputs,
+    _break_delta_shape, _break_delta_results, _break_delta_inputs,
+    _break_phi_count, _break_phi_recs, _break_phi_args, _break_phi_rec_types,
+    _break_phi_contents,
+    _break_stray_omega, _break_kind, _break_cycle, _break_id_order,
+]
+
+
+def test_validate_accepts_the_zoo():
+    """[TRIVIAL] The graph every breakage starts from is valid."""
+    assert _zoo().g.validate() == []
+
+
+@pytest.mark.parametrize("breakage", BREAKAGES,
+                         ids=[f.__name__[len("_break_"):] for f in BREAKAGES])
+def test_validate_reports_each_violation(breakage):
+    """[DERIVED] Breaking one invariant by hand yields exactly the
+    messages worked out from that invariant, in walk order: regions in
+    preorder, in each region its arguments, results, then nodes by id."""
+    z = _zoo()
+    expected = breakage(z)
+    assert z.g.validate() == expected
+
+
+# -- topological order ----------------------------------------------------------
+
+def _kahn(region):
+    """Reference order: Kahn's algorithm over the in-region edges with a
+    min-heap of ready node ids."""
+    pending = {}
+    consumers = {}
+    for n in region.nodes:
+        deps = {u.origin.node.id for u in n.inputs
+                if u.origin is not None and u.origin.node is not None
+                and u.origin.node.region is region}
+        pending[n.id] = deps
+        for d in deps:
+            consumers.setdefault(d, set()).add(n.id)
+    by_id = {n.id: n for n in region.nodes}
+    ready = [nid for nid, deps in pending.items() if not deps]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(by_id[nid])
+        for c in consumers.get(nid, ()):
+            pending[c].discard(nid)
+            if not pending[c]:
+                heapq.heappush(ready, c)
+    assert len(order) == len(region.nodes)
+    return order
+
+
+def _assert_orders_match(g, where):
+    for region in g.regions():
+        assert g.topological_order(region) == _kahn(region), \
+            "%s: region %d" % (where, region.id)
+
+
+@pytest.mark.parametrize("source", ["ladder:3", "ladder:7"] + corpus_files())
+def test_topological_order_matches_kahn(source):
+    """[DERIVED] On every region of every corpus program and both size-8
+    ladder programs, after construction and after each step of the
+    default schedule, the order equals the reference min-heap Kahn."""
+    if source.startswith("ladder:"):
+        mod = parse(randprog.generate(int(source[7:]), size=8))
+        check_module(mod)
+    else:
+        mod = load_corpus(source)
+    g = construct(mod)
+    _assert_orders_match(g, "construct")
+    config = PassConfig()
+    for i, name in enumerate(config.passes):
+        if name == "URL":
+            PASSES[name](g, factor=config.unroll_factor)
+        else:
+            PASSES[name](g)
+        _assert_orders_match(g, "step %d (%s)" % (i, name))
+
+
+def test_topological_order_puts_a_later_producer_first():
+    """[DERIVED] A consumer wired to a producer created after it has the
+    lower id, yet comes after that producer; ties still break by id."""
+    g, lam, n = _simple_fn()
+    body = lam.subregions[0]
+    c = g.add_simple(body, ops.const(1, I64), [])
+    g.connect(n.inputs[1], c.outputs[0])
+    order = g.topological_order(body)
+    assert order == [c, n] == _kahn(body)
+    assert order != body.nodes
+    assert g.validate() == []
+
+
+def test_topological_order_rejects_a_two_node_cycle():
+    """[TRIVIAL] Two nodes feeding each other have no order."""
+    g, lam, n = _simple_fn()
+    body = lam.subregions[0]
+    m = g.add_simple(body, ops.binop("add", I64), [n.outputs[0], body.args[1]])
+    g.connect(n.inputs[0], m.outputs[0])
+    with pytest.raises(GraphError):
+        g.topological_order(body)
+
+
+def test_topological_order_sorts_a_node_list_out_of_id_order():
+    """[DERIVED] The order does not take `region.nodes` on trust: with
+    the list reversed by hand, two independent nodes still come out by
+    ascending id, and validate names the misplaced node."""
+    g, lam, n = _simple_fn()
+    body = lam.subregions[0]
+    c = g.add_simple(body, ops.const(1, I64), [])
+    body.nodes.reverse()
+    assert g.topological_order(body) == [n, c] == _kahn(body)
+    assert g.validate() == ["node %d out of id order in region %d"
+                            % (n.id, body.id)]
