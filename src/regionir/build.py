@@ -16,7 +16,7 @@ function type is lifted so the state kinds appear as trailing
 parameters and results.
 """
 
-from .types import I64, PTR, MEM, IO, lift
+from .types import PTR, MEM, IO, lift
 from . import ops
 from .graph import Graph
 from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
@@ -148,68 +148,38 @@ class _Emitter:
             self.ret = self.resolve(t.operand, t.ty, region, syms)
 
     def _emit_instr(self, i, region, syms):
-        g = self.g
-        op = i.op
-        if op == "copy":
+        """One simple node per instruction, its inputs and outputs laid
+        out by the operation's signature; a copy only rebinds."""
+        if i.op == "copy":
             syms[i.dest] = self.resolve(i.operands[0], i.ty, region, syms)
             return
-        if op == "undef":
-            syms[i.dest] = g.add_simple(region, ops.undef(lift(i.ty)), []) \
-                            .outputs[0]
-            return
-        if op == "alloca":
-            n = g.add_simple(region, ops.alloca(lift(i.ty)),
-                             [self.lookup(MEMVAR, region, syms)])
-            syms[i.dest] = n.outputs[0]
-            syms[MEMVAR] = n.outputs[1]
-            return
-        if op == "load":
-            n = g.add_simple(region, ops.load(lift(i.ty)),
-                             [self.resolve(i.operands[0], None, region, syms),
-                              self.lookup(MEMVAR, region, syms)])
-            syms[i.dest] = n.outputs[0]
-            syms[MEMVAR] = n.outputs[1]
-            return
-        if op == "store":
-            n = g.add_simple(region, ops.store(lift(i.ty)),
-                             [self.resolve(i.operands[1], None, region, syms),
-                              self.resolve(i.operands[0], i.ty, region, syms),
-                              self.lookup(MEMVAR, region, syms)])
-            syms[MEMVAR] = n.outputs[0]
-            return
-        if op == "gep":
-            n = g.add_simple(region, ops.gep(lift(i.ty)),
-                             [self.resolve(i.operands[0], None, region, syms),
-                              self.resolve(i.operands[1], I64, region, syms)])
-            syms[i.dest] = n.outputs[0]
-            return
-        if op == "call":
+        ins = []
+        if i.op == "call":
             callee = self.resolve(i.callee, None, region, syms)
             if callee.ty.kind != "fn":
                 raise BuildError("calling a value of type %s" % callee.ty)
-            ins = [callee]
-            ins += [self.resolve(o, t, region, syms)
-                    for o, t in zip(i.operands, i.arg_tys)]
-            ins.append(self.lookup(MEMVAR, region, syms))
-            ins.append(self.lookup(IOVAR, region, syms))
-            n = g.add_simple(region, ops.apply_op(callee.ty), ins)
-            outs = list(n.outputs)
-            syms[IOVAR] = outs.pop()
-            syms[MEMVAR] = outs.pop()
-            if i.dest is not None:
-                syms[i.dest] = outs[0]
-            return
-        if op == "neg":
-            n = g.add_simple(region, ops.SimpleOp("neg", lift(i.ty)),
-                             [self.resolve(i.operands[0], i.ty, region, syms)])
+            op = ops.apply_op(callee.ty)
+            ins.append(callee)
         else:
-            n = g.add_simple(region, ops.binop(op, lift(i.ty)),
-                             [self.resolve(i.operands[0], i.ty, region, syms),
-                              self.resolve(i.operands[1], i.ty, region, syms)])
-        syms[i.dest] = n.outputs[0]
+            op = ops.SimpleOp(i.op, lift(i.ty))
+        operands = iter(ops.node_order(i.op, i.operands))
+        for ty in op.signature()[0][len(ins):]:
+            if ty == MEM:
+                ins.append(self.lookup(MEMVAR, region, syms))
+            elif ty == IO:
+                ins.append(self.lookup(IOVAR, region, syms))
+            else:
+                ins.append(self.resolve(next(operands), ty, region, syms))
+        for port in self.g.add_simple(region, op, ins).outputs:
+            if port.ty == MEM:
+                syms[MEMVAR] = port
+            elif port.ty == IO:
+                syms[IOVAR] = port
+            elif i.dest is not None:
+                syms[i.dest] = port
 
 
-def prepare_tree(fn, after, thread_io):
+def prepare_tree(fn, after):
     """Copy `fn` and run the construction phases up to the annotated
     control tree; returns the restructured copy and the tree.
     Unreachable blocks go first: their edges would otherwise feed bogus
@@ -219,7 +189,7 @@ def prepare_tree(fn, after, thread_io):
     destruct_ssa(work)
     restructure(work)
     tree = build_control_tree(work)
-    annotate(tree, after, thread_io=thread_io)
+    annotate(tree, after)
     return work, tree
 
 
@@ -234,7 +204,7 @@ def translate_function(g, lam, fn, refsyms):
     syms[MEMVAR] = g.lambda_add_param(lam, MEM)
     syms[IOVAR] = g.lambda_add_param(lam, IO)
 
-    work, tree = prepare_tree(fn, {MEMVAR, IOVAR}, thread_io=True)
+    work, tree = prepare_tree(fn, {MEMVAR, IOVAR})
     em = _Emitter(g, _vartys_of(work))
     em.emit(tree, body, syms)
     results = []
@@ -257,7 +227,7 @@ def translate_initializer(g, delta, gv, refsyms):
                     "initializer of @%s uses stateful operation %s"
                     % (gv.name, i.op))
     shim = Function(gv.name, [], gv.ty, blocks=gv.blocks)
-    work, tree = prepare_tree(shim, set(), thread_io=False)
+    work, tree = prepare_tree(shim, set())
     em = _Emitter(g, _vartys_of(work))
     syms = dict(refsyms)
     em.emit(tree, delta.subregions[0], syms)

@@ -21,7 +21,7 @@ from .passes import PassConfig, PassError, run_pipeline
 from .passes.pipeline import format_stats, parse_passes
 from .passes import dne
 from . import render
-from .types import F64
+from .randprog import random_args
 
 
 class EquivalenceError(Exception):
@@ -83,20 +83,6 @@ def _fmt_outcome(outcome, out):
         out.write("trace: %s\n" % " ".join(str(x) for x in ev))
 
 
-def _random_args(rng, params):
-    vals = []
-    for _, ty in params:
-        if ty is F64:
-            vals.append(round(rng.uniform(-100.0, 100.0), 3))
-        elif ty.kind == "int":
-            hi = min(2 ** (ty.width - 1), 2 ** 16)
-            vals.append(rng.randrange(-hi, hi) if ty.width > 1
-                        else rng.randrange(2))
-        else:
-            return None             # pointers/functions: nothing sensible
-    return vals
-
-
 # -- subcommands ----------------------------------------------------------
 
 def cmd_check(ns, out):
@@ -156,8 +142,7 @@ def cmd_dot(ns, out):
         out.write(render.dot_cfg(mod))
     elif ns.level == "tree":
         name = _pick_fn(mod, ns.fn)
-        _, tree = prepare_tree(mod.functions[name], {MEMVAR, IOVAR},
-                                thread_io=True)
+        _, tree = prepare_tree(mod.functions[name], {MEMVAR, IOVAR})
         out.write(render.dot_tree(tree, name))
     else:
         g = construct(mod)
@@ -207,7 +192,7 @@ def cmd_roundtrip(ns, out):
         fn = mod.functions[name]
         checked = 0
         for _ in range(ns.samples):
-            args = _random_args(rng, fn.params)
+            args = random_args(rng, fn.params)
             if args is None:
                 break
             ref = run_to_outcome(lambda: eval_cfg(mod, name, list(args),

@@ -14,7 +14,6 @@ out of the same bookkeeping as ordinary variables.
 """
 
 from .source import Branch, Ret, instr_reads, instr_writes, successors
-from .source import IOVAR
 
 
 class IrreducibleError(Exception):
@@ -178,31 +177,29 @@ def _rw(tree):
     return r, w
 
 
-def _demand(tree, after, thread_io):
+def _demand(tree, after):
     tree.demand_out = set(after)
     if isinstance(tree, CTBlock):
         tree.demand_in = (after - tree.writes) | tree.reads
     elif isinstance(tree, CTLinear):
         d = after
         for child in reversed(tree.children):
-            _demand(child, d, thread_io)
+            _demand(child, d)
             d = child.demand_in
         tree.demand_in = d
     elif isinstance(tree, CTBranch):
         for a in tree.alts:
-            _demand(a, set(after), thread_io)
+            _demand(a, set(after))
         tree.demand_in = set().union(*(a.demand_in for a in tree.alts))
     else:
         d = set(after) | tree.reads
-        if thread_io:
-            d.add(IOVAR)
-        _demand(tree.body, d, thread_io)
+        _demand(tree.body, d)
         tree.demand_in = d
         tree.demand_out = d
 
-def annotate(tree, after, thread_io=True):
+def annotate(tree, after):
     """Attach demand_in/demand_out everywhere; `after` is the demand at
     the end of the whole tree (the translated region's results)."""
     _rw(tree)
-    _demand(tree, set(after), thread_io)
+    _demand(tree, set(after))
     return tree

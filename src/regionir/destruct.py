@@ -18,6 +18,7 @@ from .types import I64, lower
 from .source import (Module, Function, GlobalVar, Block, Instr, Br, Branch,
                      Ret, Var, Lit, GlobalRef, result_ty)
 from .ssa import NameGen, construct_ssa, sequence_parallel_copies
+from .ops import node_order
 
 
 class DestructError(Exception):
@@ -41,9 +42,8 @@ def _sty(ty):
 class _Lowerer:
     """Reconstructs one function-like body (a lambda or delta region)."""
 
-    def __init__(self, graph, refmap):
+    def __init__(self, graph):
         self.g = graph
-        self.refmap = refmap        # region arg Port -> referenced global name
         self.names = NameGen()
         self.tys = {}               # var name -> source type
         self.blocks = []
@@ -170,39 +170,11 @@ class _Lowerer:
         if n == "const":
             env[node.outputs[0]] = Lit(op.value)
             return
-        if n == "undef":
-            d = self.names.fresh("v")
-            self.emit(Instr("undef", dest=d, ty=_sty(op.ty)))
-            env[node.outputs[0]] = Var(d)
-            return
         if n == "match":
             if op.table != tuple((i, i) for i in range(op.k)) \
                     or op.default != op.k - 1:
                 raise DestructError("match %s is not reconstructible" % op)
             env[node.outputs[0]] = self.operand(env, ins[0])
-            return
-        if n == "alloca":
-            d = self.names.fresh("v")
-            self.emit(Instr("alloca", dest=d, ty=_sty(op.ty)))
-            env[node.outputs[0]] = Var(d)
-            return
-        if n == "load":
-            d = self.names.fresh("v")
-            self.emit(Instr("load", dest=d, ty=_sty(op.ty),
-                            operands=[self.operand(env, ins[0])]))
-            env[node.outputs[0]] = Var(d)
-            return
-        if n == "store":
-            self.emit(Instr("store", ty=_sty(op.ty),
-                            operands=[self.operand(env, ins[1]),
-                                      self.operand(env, ins[0])]))
-            return
-        if n == "gep":
-            d = self.names.fresh("v")
-            self.emit(Instr("gep", dest=d, ty=_sty(op.ty),
-                            operands=[self.operand(env, ins[0]),
-                                      self.operand(env, ins[1])]))
-            env[node.outputs[0]] = Var(d)
             return
         if n == "apply":
             fnty = lower(op.ty)
@@ -219,11 +191,12 @@ class _Lowerer:
                 if not o.ty.is_state:
                     env[o] = Var(dest)
             return
-        # arithmetic, comparison, negation
-        d = self.names.fresh("v")
-        self.emit(Instr(n, dest=d, ty=op.ty,
-                        operands=[self.operand(env, u) for u in ins]))
-        env[node.outputs[0]] = Var(d)
+        outs = [o for o in node.outputs if not o.ty.is_state]
+        dest = self.names.fresh("v") if outs else None
+        self.emit(Instr(n, dest=dest, ty=_sty(op.ty), operands=node_order(
+            n, [self.operand(env, u) for u in ins])))
+        for o in outs:
+            env[o] = Var(dest)
 
 
 # -- module assembly ------------------------------------------------------
@@ -236,7 +209,7 @@ def _lower_lambda(graph, node, portname):
     fn_ty = lower(node.outputs[0].ty)
     params = []
     value_args = [a for a in body.args[node.n_ctx:] if not a.ty.is_state]
-    low = _Lowerer(graph, portname)
+    low = _Lowerer(graph)
     for a, pty in zip(value_args, fn_ty.params):
         pname = low.names.fresh("a")
         params.append((pname, pty))
@@ -255,7 +228,7 @@ def _lower_delta(graph, node, portname):
     for inp, arg in zip(node.inputs, body.args):
         env[arg] = GlobalRef(portname[inp.origin])
     elem_ty = lower(node.op.ty)
-    low = _Lowerer(graph, portname)
+    low = _Lowerer(graph)
     blocks = low.run(body, env, elem_ty)
     shim = Function(node.name, [], elem_ty, blocks=blocks)
     construct_ssa(shim)

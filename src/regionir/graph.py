@@ -50,10 +50,6 @@ class Port:
         self.region = region    # region the port lives in
         self.users = []
 
-    @property
-    def is_argument(self):
-        return self.node is None
-
     def sort_key(self):
         if self.node is not None:
             return (1, self.node.id, self.index)
@@ -76,10 +72,6 @@ class Use:
         self.node = node        # consumer node; None for region results
         self.region = region    # region the use lives in
         self.origin = None
-
-    @property
-    def is_result(self):
-        return self.node is None
 
     def sort_key(self):
         if self.node is not None:
@@ -369,30 +361,6 @@ class Graph:
             if nm == name:
                 return res.origin
         raise KeyError("no export named %r" % name)
-
-    # -- variable views ---------------------------------------------------
-
-    def entry_vars(self, g):
-        return [(g.inputs[l + 1], [r.args[l] for r in g.subregions])
-                for l in range(len(g.inputs) - 1)]
-
-    def exit_vars(self, g):
-        return [([r.results[l] for r in g.subregions], g.outputs[l])
-                for l in range(len(g.outputs))]
-
-    def loop_vars(self, t):
-        body = t.subregions[0]
-        return [(t.inputs[l], body.args[l], body.results[l + 1], t.outputs[l])
-                for l in range(len(t.inputs))]
-
-    def ctx_vars(self, node):
-        return [(node.inputs[l], node.subregions[0].args[l])
-                for l in range(node.n_ctx)]
-
-    def rec_vars(self, phi):
-        body = phi.subregions[0]
-        return [(body.results[l], body.args[phi.n_ctx + l], phi.outputs[l])
-                for l in range(len(phi.outputs))]
 
     # -- removal ----------------------------------------------------------
 

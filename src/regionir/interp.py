@@ -203,6 +203,10 @@ def eval_binop(op, ty, a, b):
     raise Trap("type", "unknown operation %s" % op)
 
 
+def eval_neg(ty, v):
+    return -v if ty.kind == "f64" else wrap_int(-v, ty.width)
+
+
 def _cmp(op, a, b):
     if op == "eq":
         return int(a == b)
@@ -324,8 +328,7 @@ def _exec_instr(module, machine, env, i):
     elif op == "undef":
         env[i.dest] = zero_value(i.ty)
     elif op == "neg":
-        env[i.dest] = -vals[0] if i.ty.kind == "f64" \
-            else wrap_int(-vals[0], i.ty.width)
+        env[i.dest] = eval_neg(i.ty, vals[0])
     elif op == "alloca":
         env[i.dest] = machine.alloca(i.ty)
     elif op == "load":
@@ -540,23 +543,16 @@ def _simple_step(node):
             env[o] = v
     elif n == "match":
         (a,), (o,) = ins, outs
-        cases = {}
-        for key, case in op.table:
-            cases.setdefault(key, case)     # the first entry for a key wins
+        cases = {key: op.select(key) for key, _ in op.table}
         default = op.default
 
         def step(machine, graph, env):
             env[o] = cases.get(env[a], default)
     elif n == "neg":
         (a,), (o,) = ins, outs
-        if ty.kind == "f64":
-            def step(machine, graph, env):
-                env[o] = -env[a]
-        else:
-            w = ty.width
 
-            def step(machine, graph, env):
-                env[o] = wrap_int(-env[a], w)
+        def step(machine, graph, env):
+            env[o] = eval_neg(ty, env[a])
     elif n == "alloca":
         o, m = outs
 

@@ -65,6 +65,14 @@ class SimpleOp:
             return (t,) + t.params, t.results
         raise ValueError("unknown operation %r" % n)
 
+    def select(self, key):
+        """The case a match picks for `key`: the first table entry for
+        it, else the default."""
+        for k, case in self.table:
+            if k == key:
+                return case
+        return self.default
+
     def __str__(self):
         if self.name == "const":
             return "const(%s:%s)" % (self.value, self.ty)
@@ -97,21 +105,15 @@ def identity_match(in_ty, k):
     return match(in_ty, [(i, i) for i in range(k)], k - 1, k)
 
 
-def alloca(elem_ty):
-    return SimpleOp("alloca", elem_ty)
-
-
-def load(ty):
-    return SimpleOp("load", ty)
-
-
-def store(ty):
-    return SimpleOp("store", ty)
-
-
-def gep(elem_ty):
-    return SimpleOp("gep", elem_ty)
-
-
 def apply_op(fn_ty):
     return SimpleOp("apply", fn_ty)
+
+
+def node_order(name, operands):
+    """An instruction's value operands in the order of its node's value
+    inputs, or back: a store names its value before its address, but
+    its node takes the address first.  The swap is its own inverse."""
+    if name == "store":
+        value, ptr = operands
+        return [ptr, value]
+    return list(operands)

@@ -417,6 +417,8 @@ def _check_body(mod, ent):
         for i in b.instrs:
             for o in i.operands + ([i.callee] if i.op == "call" else []):
                 _check_operand(mod, vartys, o, ent.name)
+            if i.op == "call":
+                _check_call(mod, vartys, i, ent.name)
             if i.op == "copy" and isinstance(i.operands[0], Var):
                 # construct binds the destination to the operand itself,
                 # so a retyping copy would change the value's type
@@ -452,6 +454,20 @@ def _check_body(mod, ent):
     ent._vartys = vartys
 
 
+def _check_call(mod, vartys, i, where):
+    """A call to a function value must declare its parameter types, and
+    its result type when it names a result: construct types literal
+    arguments by the parameters and binds the result by the callee."""
+    c = i.callee
+    fty = vartys[c.name] if isinstance(c, Var) else mod.type_of(c.name)
+    if fty.kind != "fn":
+        return                      # construct rejects the call itself
+    if fty.params != tuple(i.arg_tys) or \
+            i.dest is not None and fty.results != (i.ty,):
+        raise SourceError("%s: call of %s %s as %s" % (
+            where, fty, c, fnty(i.arg_tys, [] if i.ty is None else [i.ty])))
+
+
 def _settle(vartys, name, ty, where):
     if ty is None:
         raise SourceError("%s: %%%s has no type" % (where, name))
@@ -474,10 +490,6 @@ def _check_operand(mod, vartys, o, where):
 
 
 # -- printer --------------------------------------------------------------
-
-def _fmt_operand(o):
-    return str(o)
-
 
 def fmt_instr(i):
     if isinstance(i, Phi):

@@ -13,21 +13,13 @@ disagree until the partition is stable.
 Nodes touching memory or io are never merged: two loads can only be
 collapsed when they also share the memory-state origin, and since the
 state edge is an input like any other, such loads are already plain
-congruent simple nodes -- which `_pure` below still refuses, keeping
+congruent simple nodes -- which `_mark` below still refuses, keeping
 every trace event intact.
 
 The surviving representative of a congruence class is the port with the
 lowest sort key (region arguments first, then node ids ascending);
 everything else is diverted onto it and left for dead node elimination.
 """
-
-from ..source import ARITH, CMP
-
-_FOLDABLE = frozenset(ARITH + CMP + ("neg", "const", "undef", "match", "gep"))
-
-
-def _pure(op):
-    return op.name in _FOLDABLE
 
 
 class _UnionFind:
@@ -66,7 +58,7 @@ def _mark(graph, region, uf):
     index = {}
     for node in graph.topological_order(region):
         if node.kind == "simple":
-            if not _pure(node.op):
+            if node.op.is_stateful:
                 continue
             reps = [uf.find(u.origin) for u in node.inputs]
             if node.op.commutative:

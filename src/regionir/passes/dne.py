@@ -2,7 +2,7 @@
 
 Mark-and-sweep over ports.  The mark phase seeds the demand set with the
 omega region's exports and chases origins backwards through simple
-nodes and through the variable views of the structural nodes.  The
+nodes and through the variables of the structural nodes.  The
 sweep removes undemanded nodes in reverse topological order, then trims
 dead entry, exit, loop, context, and recursion variables, and finally
 drops unreferenced imports.  Running the pass twice changes nothing the

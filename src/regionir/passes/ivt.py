@@ -61,12 +61,7 @@ def _branch_values(body, gamma):
             return n.op.value
         if n.op.name == "match":
             v = resolve(n.inputs[0].origin, sub)
-            if v is None:
-                return None
-            for key, case in n.op.table:
-                if v == key:
-                    return case
-            return n.op.default
+            return None if v is None else n.op.select(v)
         return None
 
     return [resolve(body.results[0].origin, sub) for sub in (0, 1)]

@@ -11,7 +11,7 @@ from ..types import ctl
 from ..source import ARITH, CMP
 from ..ops import const
 from ..rewrite import copy_nodes
-from ..interp import Trap, eval_binop, wrap_int, coerce_literal
+from ..interp import Trap, eval_binop, eval_neg, coerce_literal
 
 ROUNDS = 4
 
@@ -66,16 +66,12 @@ def _reduce_simple(graph, node):
     vals = [_const_of(u.origin) for u in node.inputs]
 
     if n == "neg" and vals[0] is not None:
-        v = -vals[0] if op.ty.kind == "f64" else wrap_int(-vals[0], op.ty.width)
-        return _replace_with_const(graph, node, v, op.ty)
+        return _replace_with_const(graph, node, eval_neg(op.ty, vals[0]),
+                                   op.ty)
 
     if n == "match" and vals[0] is not None:
-        for key, case in op.table:
-            if vals[0] == key:
-                break
-        else:
-            case = op.default
-        return _replace_with_const(graph, node, case, ctl(op.k))
+        return _replace_with_const(graph, node, op.select(vals[0]),
+                                   ctl(op.k))
 
     if n not in ARITH and n not in CMP:
         return False

@@ -18,6 +18,7 @@ evaluators cannot diverge on code that one of them skips.
 import random
 
 from .source import CMP
+from .types import F64
 
 FUEL_LIMIT = 20
 
@@ -182,5 +183,18 @@ def generate(seed, size=1):
     return "\n".join(g.lines) + "\n"
 
 
-def random_inputs(rng, n_params):
-    return [rng.randrange(-2 ** 16, 2 ** 16) for _ in range(n_params)]
+def random_args(rng, params):
+    """Random arguments for a function's (name, type) parameters:
+    integers in [-2**16, 2**16) narrowed to the type's range, f64 in
+    [-100, 100]; None if a parameter is a pointer or a function."""
+    vals = []
+    for _, ty in params:
+        if ty is F64:
+            vals.append(round(rng.uniform(-100.0, 100.0), 3))
+        elif ty.kind == "int":
+            hi = min(2 ** (ty.width - 1), 2 ** 16)
+            vals.append(rng.randrange(-hi, hi) if ty.width > 1
+                        else rng.randrange(2))
+        else:
+            return None             # pointers/functions: nothing sensible
+    return vals

@@ -15,7 +15,7 @@ predicate variable (`.p`) and a join block.
 
 from .types import I1, narrowest_int
 from .source import (Var, Lit, Instr, Br, Branch, Ret, Block, successors,
-                     predecessors, drop_unreachable)
+                     predecessors, retarget, drop_unreachable)
 from .ssa import NameGen
 
 
@@ -39,17 +39,9 @@ def _const_copy(dest, ty, value):
 
 
 def _retarget(block, old, new):
-    t = block.term
-    if isinstance(t, Br):
-        if t.target == old:
-            t.target = new
-            return
-    elif isinstance(t, Branch):
-        for i, tgt in enumerate(t.targets):
-            if tgt == old:
-                t.targets[i] = new
-                return
-    raise RestructureError("no edge %s -> %s to retarget" % (block.name, old))
+    if not retarget(block.term, old, new):
+        raise RestructureError("no edge %s -> %s to retarget"
+                               % (block.name, old))
 
 
 # -- normalization --------------------------------------------------------

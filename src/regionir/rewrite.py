@@ -11,12 +11,6 @@ class RewriteError(Exception):
     pass
 
 
-def in_order(graph, region, nodes):
-    """The given subset of a region's nodes, in topological order."""
-    members = {n.id for n in nodes}
-    return [n for n in graph.topological_order(region) if n.id in members]
-
-
 def copy_nodes(graph, nodes, dst, portmap):
     """Clone `nodes` (already in topological order, all from one region)
     into region `dst`.  `portmap` maps ports of the originals to ports

@@ -151,6 +151,18 @@ def successors(term):
     return []
 
 
+def retarget(term, old, new):
+    """Point every edge of `term` that targets `old` at `new`; returns
+    whether there was one."""
+    if isinstance(term, Br) and term.target == old:
+        term.target = new
+        return True
+    if isinstance(term, Branch) and old in term.targets:
+        term.targets[:] = [new if t == old else t for t in term.targets]
+        return True
+    return False
+
+
 def predecessors(blocks):
     preds = {b.name: [] for b in blocks}
     for b in blocks:

@@ -9,7 +9,7 @@ checker in `source` shares.
 """
 
 from .source import (Var, Instr, Phi, Br, Branch, Block, successors,
-                     predecessors, idoms, instr_reads, instr_writes,
+                     predecessors, retarget, idoms, instr_reads, instr_writes,
                      drop_unreachable, result_ty)
 
 
@@ -65,14 +65,6 @@ def sequence_parallel_copies(pairs, names):
 
 # -- SSA destruction ------------------------------------------------------
 
-def _retarget(term, old, new):
-    if isinstance(term, Br):
-        if term.target == old:
-            term.target = new
-    elif isinstance(term, Branch):
-        term.targets = [new if t == old else t for t in term.targets]
-
-
 def destruct_ssa(fn):
     """Replace every phi with copies along the incoming edges."""
     names = NameGen(fn)
@@ -92,7 +84,7 @@ def destruct_ssa(fn):
             if n_succs[pred] > 1:
                 # critical edge: give the copies their own block
                 mid = Block(names.fresh(".e"), instrs=copies, term=Br(b.name))
-                _retarget(pb.term, b.name, mid.name)
+                retarget(pb.term, b.name, mid.name)
                 new_blocks.append(mid)
             else:
                 pb.instrs.extend(copies)

@@ -14,7 +14,7 @@ import pytest
 from regionir.parser import parse_file, check_module
 from regionir.build import construct
 from regionir.interp import DEFAULT_FUEL, eval_cfg, eval_rvsdg, run_to_outcome
-from regionir.cli import _random_args
+from regionir.randprog import random_args
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -41,10 +41,6 @@ def exported(mod):
             if n in mod.functions and mod.functions[n].export]
 
 
-def sample_args(rng, fn):
-    return _random_args(rng, fn.params)
-
-
 def outcome_cfg(mod, name, args, fuel=DEFAULT_FUEL):
     return run_to_outcome(lambda: eval_cfg(mod, name, list(args), fuel=fuel))
 
@@ -62,7 +58,7 @@ def assert_equivalent(mod, graph, fixture, n_inputs=10, seed=0, back=None):
     for name in exported(mod):
         fn = mod.functions[name]
         for _ in range(n_inputs):
-            args = sample_args(rng, fn)
+            args = random_args(rng, fn.params)
             if args is None:
                 break
             ref = outcome_cfg(mod, name, args, fuel)

@@ -47,7 +47,7 @@ from regionir.interp import DEFAULT_FUEL
 
 from conftest import (FUEL_OVERRIDE, assert_equivalent, build, corpus_files,
                       corpus_path, exported, load_corpus, outcome_cfg,
-                      outcome_rvsdg, sample_args)
+                      outcome_rvsdg)
 
 N_RANDOM = 500
 # mostly small programs, with a tail of large ones so criterion 7's fit
@@ -75,9 +75,9 @@ def _instr_count(mod):
 
 def _random_triple_ok(seed, mod, back, n_inputs):
     rng = random.Random(seed)
-    n_params = len(mod.functions["main"].params)
+    params = mod.functions["main"].params
     for _ in range(n_inputs):
-        args = randprog.random_inputs(rng, n_params)
+        args = randprog.random_args(rng, params)
         if outcome_cfg(mod, "main", args) != outcome_cfg(back, "main", args):
             return args
     return None
@@ -135,8 +135,8 @@ def test_criterion_2_each_pass_preserves_equivalence():
     for seed in range(N_RANDOM):
         mod = _random_module(seed)
         rng = random.Random(seed)
-        n_params = len(mod.functions["main"].params)
-        inputs = [randprog.random_inputs(rng, n_params) for _ in range(2)]
+        params = mod.functions["main"].params
+        inputs = [randprog.random_args(rng, params) for _ in range(2)]
         refs = [outcome_cfg(mod, "main", args) for args in inputs]
         for pass_name in sorted(PASSES):
             g = construct(mod)
@@ -309,7 +309,7 @@ def _dataflow_rw(t):
 
 
 def _verify_annotation(fn):
-    _, tree = prepare_tree(fn, {MEMVAR, IOVAR}, thread_io=True)
+    _, tree = prepare_tree(fn, {MEMVAR, IOVAR})
 
     def walk(t):
         r, w = _dataflow_rw(t)
@@ -349,8 +349,7 @@ def test_criterion_5_gcd_sets_match_committed_constants():
     demands exactly its live state; demand always threads the state
     pseudo-variables."""
     mod = load_corpus("gcd.ir")
-    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
-                            thread_io=True)
+    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR})
     entry, loop, exit_, ret = tree.children
     assert tree.reads == {"a", "b"}
     assert tree.writes == {".r2", ".rv0", "c", "x", "y"}

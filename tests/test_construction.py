@@ -66,8 +66,7 @@ def test_gcd_tree_shape():
     """[DERIVED] gcd reduces to: entry block, tail-controlled loop
     around the compare/remainder diamond, then the exit blocks."""
     mod = load_corpus("gcd.ir")
-    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
-                            thread_io=True)
+    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR})
     assert isinstance(tree, CTLinear)
     assert isinstance(tree.children[0], CTBlock)
     assert tree.children[0].block.name == "entry"
@@ -81,8 +80,7 @@ def test_gcd_demand_annotation():
     """[DERIVED] The loop node demands exactly the live loop state:
     x and y plus the threaded memory and io pseudo-variables."""
     mod = load_corpus("gcd.ir")
-    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR},
-                            thread_io=True)
+    _, tree = prepare_tree(mod.functions["gcd"], {MEMVAR, IOVAR})
     loop = tree.children[1]
     assert sorted(loop.demand_in) == [IOVAR, MEMVAR, "x", "y"]
     assert sorted(loop.reads) == ["x", "y"]

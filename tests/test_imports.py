@@ -1,7 +1,7 @@
 """Source-tree rules checked by reading the code itself.
 
 [TRIVIAL] oracles: each rule is a definition over the import
-statements of `src/regionir`.
+statements of `src/regionir` and `tests`.
 """
 
 import ast
@@ -10,26 +10,40 @@ import os
 import regionir
 
 SRC = os.path.dirname(regionir.__file__)
+TESTS = os.path.dirname(__file__)
 
 
-def _modules():
-    for root, _, files in os.walk(SRC):
+def _modules(top):
+    for root, _, files in os.walk(top):
         for name in sorted(files):
             if name.endswith(".py"):
                 yield os.path.join(root, name)
 
 
-def test_no_private_names_imported_across_modules():
-    """[TRIVIAL] No module imports a leading-underscore name from
-    another: a name shared between modules is public."""
+def _private_imports(top, accept):
+    """`file:line name` for every leading-underscore name imported by a
+    module under `top` from a module `accept(node)` selects."""
     found = []
-    for path in _modules():
+    for path in _modules(top):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                found += ["%s:%d %s" % (os.path.relpath(path, SRC),
+            if isinstance(node, ast.ImportFrom) and accept(node):
+                found += ["%s:%d %s" % (os.path.relpath(path, top),
                                         node.lineno, alias.name)
                           for alias in node.names
                           if alias.name.startswith("_")]
-    assert found == []
+    return found
+
+
+def test_no_private_names_imported_across_modules():
+    """[TRIVIAL] No module imports a leading-underscore name from
+    another: a name shared between modules is public."""
+    assert _private_imports(SRC, lambda node: True) == []
+
+
+def test_tests_import_no_private_names():
+    """[TRIVIAL] Tests reach the program through its public names."""
+    def from_regionir(node):
+        return (node.module or "").split(".")[0] == "regionir"
+    assert _private_imports(TESTS, from_regionir) == []

@@ -8,7 +8,11 @@ helpers are [TRIVIAL].
 
 import pytest
 
+from regionir.graph import Graph
+from regionir.interp import eval_rvsdg
+from regionir.ops import SimpleOp, const
 from regionir.parser import parse, check_module
+from regionir.types import I64, IO, MEM
 from regionir.render import dump
 from regionir.passes import PassConfig, PassError, run_pipeline
 from regionir.passes.pipeline import (DEFAULT_ORDER, PASSES, format_stats,
@@ -182,6 +186,34 @@ def test_red_leaves_division_by_zero_alone():
     red.run(g)
     assert len(_ops(g, "div")) == 1
     _checked(mod, g, "div0 kept")
+
+
+def test_match_with_a_repeated_key_takes_the_first_entry():
+    """[DERIVED] A match table may name a key twice; the first entry
+    wins in the graph interpreter and in RED's fold alike.  Key 1 maps
+    to case 1 (then 0), so f() selects the alternative returning 20."""
+    g = Graph()
+    lam = g.begin_lambda(g.root, "f")
+    mem = g.lambda_add_param(lam, MEM)
+    io = g.lambda_add_param(lam, IO)
+    body = lam.subregions[0]
+    one = g.add_simple(body, const(1, I64), [])
+    sel = g.add_simple(body, SimpleOp("match", I64, table=((1, 1), (1, 0)),
+                                      default=0, k=2), one.outputs)
+    gamma = g.begin_gamma(body, sel.outputs[0], 2)
+    picks = [g.add_simple(sub, const(v, I64), []).outputs[0]
+             for sub, v in zip(gamma.subregions, (10, 20))]
+    out = g.gamma_add_exit(gamma, picks)
+    g.lambda_finish(lam, [out, mem, io])
+    g.omega_add_export("f", lam.outputs[0])
+    assert g.validate() == []
+    assert eval_rvsdg(g, "f", []) == ([20], [])
+    red.run(g)
+    dne.run(g)
+    assert g.validate() == []
+    assert _ops(g, "match") == [] and \
+        not any(n.kind == "gamma" for n in g.all_nodes())
+    assert eval_rvsdg(g, "f", []) == ([20], [])
 
 
 # -- PSH --------------------------------------------------------------------

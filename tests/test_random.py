@@ -18,9 +18,9 @@ from conftest import outcome_cfg, outcome_rvsdg
 
 def _triple_check(seed, mod, g, back, n_inputs=5):
     rng = random.Random(seed)
-    n_params = len(mod.functions["main"].params)
+    params = mod.functions["main"].params
     for _ in range(n_inputs):
-        args = randprog.random_inputs(rng, n_params)
+        args = randprog.random_args(rng, params)
         ref = outcome_cfg(mod, "main", args)
         assert outcome_rvsdg(g, "main", args) == ref, (seed, args)
         assert outcome_cfg(back, "main", args) == ref, (seed, args)
@@ -54,3 +54,15 @@ def test_generated_programs_survive_the_full_pipeline():
         back = destruct(g)
         check_module(back)
         _triple_check(seed, mod, g, back)
+
+
+def test_random_args_draw_sixteen_bit_ints_for_i64():
+    """[TRIVIAL] For i64 parameters, the argument sampler draws
+    randrange(-2**16, 2**16) per parameter, so seeded inputs are the
+    ones the sweeps have always used."""
+    params = parse(randprog.generate(3)).functions["main"].params
+    assert {str(ty) for _, ty in params} == {"i64"}
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert randprog.random_args(rng, params) == \
+            [ref.randrange(-2 ** 16, 2 ** 16) for _ in params]

@@ -6,12 +6,13 @@ worked out by hand from the grammar and checking rules.
 
 import pytest
 
-from regionir import randprog
+from regionir import randprog, restructure
 from regionir.build import construct
 from regionir.destruct import destruct
 from regionir.parser import (ParseError, SourceError, parse, check_module,
                              print_module)
-from regionir.source import idoms, successors
+from regionir.source import Br, Branch, Ret, Var, idoms, retarget, successors
+from regionir.types import I64
 from conftest import corpus_files, load_corpus
 
 
@@ -97,6 +98,29 @@ def test_widening_ret_rejected():
         check_module(parse(WIDENING_RET))
     check_module(parse(WIDENING_RET.replace("define i64", "define i8")
                        .replace("ret i64", "ret i8")))
+
+
+@pytest.mark.parametrize("call", ["%x = call i64 @sq(i8 5)",
+                                  "%x = call i64 @sq(i64 5, i64 6)",
+                                  "%x = call i64 @sq()",
+                                  "%x = call i8 @sq(i64 5)",
+                                  "%x = call i64 @v()"])
+def test_call_with_other_types_than_the_callee_rejected(call):
+    """[TRIVIAL] A call declares its callee's parameter types, and its
+    result type when it names a result: construction gives a literal
+    argument its parameter's type and binds the result by the callee."""
+    with pytest.raises(SourceError):
+        parse("define i64 @sq(i64 %v) {\ne:\n  %r = mul i64 %v, %v\n"
+              "  ret i64 %r\n}\ndefine () @v() {\ne:\n  ret\n}\n"
+              "export define i64 @f() {\ne:\n  " + call + "\n"
+              "  ret i64 %x\n}\n")
+
+
+def test_call_may_drop_the_result():
+    """[TRIVIAL] A call that names no result may ignore the callee's."""
+    parse("define i64 @sq(i64 %v) {\ne:\n  %r = mul i64 %v, %v\n"
+          "  ret i64 %r\n}\nexport define () @f() {\ne:\n"
+          "  call () @sq(i64 5)\n  ret\n}\n")
 
 
 def test_unknown_callee_rejected():
@@ -186,3 +210,21 @@ def test_idoms_match_the_definition():
         assert idoms(fn) == _brute_idoms(fn), fn.name
         cases += 1
     assert cases >= 8
+
+
+def test_retarget_moves_every_matching_edge():
+    """[TRIVIAL] Every target equal to the old label moves, and the
+    result says whether any did; restructuring, which only retargets
+    edges it has found, raises when there is none."""
+    branch = Branch(I64, Var("s"), ["a", "b", "a"])
+    assert retarget(branch, "a", "c")
+    assert branch.targets == ["c", "b", "c"]
+    assert not retarget(branch, "a", "d")
+    assert branch.targets == ["c", "b", "c"]
+    jump = Br("a")
+    assert retarget(jump, "a", "c") and jump.target == "c"
+    assert not retarget(Ret(), "a", "c")
+    block = parse("define () @f() {\ne:\n  br label %x\nx:\n  ret\n}") \
+        .functions["f"].blocks[0]
+    with pytest.raises(restructure.RestructureError):
+        restructure._retarget(block, "y", "z")
