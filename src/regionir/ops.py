@@ -12,13 +12,18 @@ _STATEFUL = frozenset(("alloca", "load", "store", "apply"))
 _TRAPPING = frozenset(("div", "rem"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimpleOp:
     """Payload of a simple node.
 
     `ty` is the operation's primary type: the operand type for arithmetic
     and comparisons, the element type for alloca/load/store/gep, the
     function type for apply, and the literal type for const/undef.
+
+    Two operations are equal when they compute the same thing.  An f64
+    literal is compared by `float.hex`, so -0.0 and 0.0 stay apart
+    although they are `==`; every NaN reads "nan", as no operation of
+    the IR tells NaNs apart.
     """
 
     name: str
@@ -27,6 +32,18 @@ class SimpleOp:
     table: tuple = field(default=())     # match: ((key, case), ...)
     default: int = 0                     # match fall-through case
     k: int = 0                           # match alternative count
+
+    def _key(self):
+        value = self.value
+        if self.name == "const" and self.ty.kind == "f64":
+            value = float(value).hex()
+        return (self.name, self.ty, value, self.table, self.default, self.k)
+
+    def __eq__(self, other):
+        return isinstance(other, SimpleOp) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def is_stateful(self):

@@ -53,9 +53,10 @@ def run_pipeline(graph, config=None):
     of (pass name, nodes before, nodes after)."""
     config = config or PassConfig()
     steps = []
+    after = node_count(graph)
     for name in config.passes:
         fn = PASSES[name]
-        before = node_count(graph)
+        before = after
         if name == "URL":
             fn(graph, factor=config.unroll_factor)
         else:
@@ -63,7 +64,8 @@ def run_pipeline(graph, config=None):
         bad = graph.validate()
         if bad:
             raise PassError("%s broke the graph: %s" % (name, "; ".join(bad)))
-        steps.append((name, before, node_count(graph)))
+        after = node_count(graph)
+        steps.append((name, before, after))
     return steps
 
 

@@ -50,9 +50,20 @@ def outcome_rvsdg(graph, name, args, fuel=DEFAULT_FUEL):
                                              fuel=fuel))
 
 
+def bits(value):
+    """`value` with every float inside it replaced by its `float.hex`,
+    so that comparing two outcomes tells -0.0 from 0.0."""
+    if isinstance(value, float):
+        return ("f64", value.hex())
+    if isinstance(value, (list, tuple)):
+        return type(value)(bits(v) for v in value)
+    return value
+
+
 def assert_equivalent(mod, graph, fixture, n_inputs=10, seed=0, back=None):
     """Source, graph, and (optionally) reconstructed source must agree
-    on every exported function over n_inputs random argument tuples."""
+    on every exported function over n_inputs random argument tuples;
+    f64 results are compared by their bits."""
     fuel = FUEL_OVERRIDE.get(fixture, DEFAULT_FUEL)
     rng = random.Random(seed)
     for name in exported(mod):
@@ -61,13 +72,13 @@ def assert_equivalent(mod, graph, fixture, n_inputs=10, seed=0, back=None):
             args = random_args(rng, fn.params)
             if args is None:
                 break
-            ref = outcome_cfg(mod, name, args, fuel)
-            got = outcome_rvsdg(graph, name, args, fuel)
+            ref = bits(outcome_cfg(mod, name, args, fuel))
+            got = bits(outcome_rvsdg(graph, name, args, fuel))
             assert ref == got, \
                 "%s @%s(%s): cfg %r != rvsdg %r" % (fixture, name, args,
                                                     ref, got)
             if back is not None:
-                rt = outcome_cfg(back, name, args, fuel)
+                rt = bits(outcome_cfg(back, name, args, fuel))
                 assert ref == rt, \
                     "%s @%s(%s): cfg %r != roundtrip %r" % (fixture, name,
                                                             args, ref, rt)

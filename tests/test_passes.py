@@ -12,14 +12,15 @@ from regionir.graph import Graph
 from regionir.interp import eval_rvsdg
 from regionir.ops import SimpleOp, const
 from regionir.parser import parse, check_module
-from regionir.types import I64, IO, MEM
+from regionir.types import F64, I64, IO, MEM
 from regionir.render import dump
 from regionir.passes import PassConfig, PassError, run_pipeline
 from regionir.passes.pipeline import (DEFAULT_ORDER, PASSES, format_stats,
                                       node_count, parse_passes)
 from regionir.passes import cne, dne, iln, inv, ivt, pll, psh, red, url
 
-from conftest import assert_equivalent, build, load_corpus
+from conftest import (assert_equivalent, bits, build, load_corpus,
+                      outcome_rvsdg)
 
 
 def _ops(graph, name, region_pred=None):
@@ -129,6 +130,24 @@ def test_cne_dedupes_constants_per_region():
     dne.run(g)
     assert len(_ops(g, "const")) == 1
     _checked(mod, g, "two sevens")
+
+
+def test_cne_keeps_signed_zero_literals_apart():
+    """[DERIVED] -0.0 == 0.0, but x * -0.0 - x * 0.0 is -0.0 for a
+    positive x; merging the two literals would make it 0.0."""
+    assert const(-0.0, F64) != const(0.0, F64)
+    assert const(0, F64) == const(0.0, F64)
+    assert hash(const(0, F64)) == hash(const(0.0, F64))
+    mod = parse("export define f64 @f(f64 %x) {\n"
+                "e:\n  %a = mul f64 %x, -0.0\n  %b = mul f64 %x, 0.0\n"
+                "  %c = sub f64 %a, %b\n  ret f64 %c\n}")
+    check_module(mod)
+    g = build(mod)
+    cne.run(g)
+    dne.run(g)
+    assert len(_ops(g, "mul")) == 2
+    assert bits(outcome_rvsdg(g, "f", [2.0])) == bits(("ok", [-0.0], []))
+    _checked(mod, g, "signed zeros")
 
 
 # -- INV --------------------------------------------------------------------
@@ -243,6 +262,70 @@ def test_psh_does_not_hoist_trapping_ops_out_of_gamma():
     psh.run(g)
     assert len(_ops(g, "div", in_gamma)) == n_before
     _checked(mod, g, "div_guard.ir")
+
+
+def _copies(node):
+    """The nodes created after `node` in its region, by name; in the
+    programs below, these are what PSH hoisted out of it."""
+    nodes = node.region.nodes
+    return sorted(n.opname for n in nodes[nodes.index(node) + 1:])
+
+
+def test_psh_shares_one_copy_and_one_entry_per_gamma_value():
+    """[DERIVED] Both alternatives compute e+1 and the literals 1 and
+    7; PSH leaves one copy of each outside the gamma and adds one entry
+    per value, not one per alternative."""
+    mod = parse("export define i64 @f(i64 %e, i64 %p) {\n"
+                "e:\n  %c = lt i64 %p, 0\n  branch i1 %c, [%t, %u]\n"
+                "t:\n  %x = add i64 %e, 1\n  %y = div i64 %x, 7\n"
+                "  ret i64 %y\n"
+                "u:\n  %v = add i64 %e, 1\n  %w = rem i64 %v, 7\n"
+                "  ret i64 %w\n}")
+    check_module(mod)
+    g = build(mod)
+    (gamma,) = [n for n in g.all_nodes() if n.kind == "gamma"]
+    entries = len(gamma.inputs)
+    psh.run(g)
+    assert _copies(gamma) == ["add", "const(1:i64)", "const(7:i64)"]
+    assert len(gamma.inputs) == entries + 3
+    dne.run(g)
+    _checked(mod, g, "shared gamma hoists")
+
+
+def test_psh_shares_one_copy_and_one_loopvar_per_theta_value():
+    """[DERIVED] The loop body computes e+1 twice and uses the literal
+    7 twice; PSH leaves one copy of e+1, 1 and 7 outside the theta and
+    adds one loop variable for each.  The two i1 literals of the exit
+    test's gamma move out with them."""
+    mod = parse("export define i64 @f(i64 %e, i64 %n) {\n"
+                "e:\n  %i = copy i64 0\n  %s = copy i64 0\n"
+                "  %m = and i64 %n, 63\n  br label %h\n"
+                "h:\n  %a = add i64 %e, 1\n  %b = add i64 %e, 1\n"
+                "  %s = add i64 %s, %a\n  %s = xor i64 %s, %b\n"
+                "  %s = mul i64 %s, 7\n  %i = add i64 %i, 7\n"
+                "  %go = lt i64 %i, %m\n  branch i1 %go, [%x, %h]\n"
+                "x:\n  ret i64 %s\n}")
+    check_module(mod)
+    g = build(mod)
+    inv.run(g)
+    (theta,) = [n for n in g.all_nodes() if n.kind == "theta"]
+    loopvars = len(theta.inputs)
+    psh.run(g)
+    assert _copies(theta) == ["add", "const(0:i1)", "const(1:i1)",
+                              "const(1:i64)", "const(7:i64)"]
+    assert len(theta.inputs) == loopvars + 5
+    dne.run(g)
+    _checked(mod, g, "shared theta hoists")
+
+
+def test_psh_second_run_adds_nothing(fixture_name):
+    """[DERIVED] The originals a run hoists lose their users, and PSH
+    copies no unused node, so a second run leaves the graph as is."""
+    g = build(load_corpus(fixture_name))
+    psh.run(g)
+    once = dump(g)
+    psh.run(g)
+    assert dump(g) == once
 
 
 # -- PLL --------------------------------------------------------------------
