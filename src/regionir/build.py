@@ -3,11 +3,12 @@
 Each function body is taken out of SSA form, restructured, reduced to a
 control tree, demand-annotated, and then translated region by region.
 A conditional becomes a gamma node whose entry variables are the
-demand of its alternatives and whose exit variables are the demand of
-whatever follows; a loop becomes a theta node whose loop variables are
-the demand of the loop as a whole.  The '.mem' and '.io' pseudo-
-variables travel through the same machinery, which threads the two
-state edges with no extra cases.
+demand of its alternatives and whose exit variables are the variables
+demanded after it that some alternative may write; every other
+demanded variable keeps the port it had before the gamma.  A loop
+becomes a theta node whose loop variables are the demand of the loop
+as a whole.  The '.mem' and '.io' pseudo-variables travel through the
+same machinery, which threads the two state edges with no extra cases.
 
 Across functions, the reference graph is split into strongly connected
 components: a lone function becomes a lambda, a lone global a delta,
@@ -92,7 +93,7 @@ class _Emitter:
         pred = g.add_simple(region, ops.identity_match(sel_ty, k), [sel])
         node = g.begin_gamma(region, pred.outputs[0], k)
         subsyms = [{} for _ in range(k)]
-        for v in sorted(tree.demand_in):
+        for v in sorted(tree.entries):
             args = g.gamma_add_entry(node, self.lookup(v, region, syms))
             for c in range(k):
                 subsyms[c][v] = args[c]

@@ -120,17 +120,21 @@ def cmd_stats(ns, out):
         steps = run_pipeline(g, _pass_config(ns))
         out.write(format_stats(steps) + "\n")
     counts = {}
-    total = 0
-    for node in g.all_nodes():
-        total += 1
-        key = node.op.name if node.kind == "simple" else node.kind
-        counts[key] = counts.get(key, 0) + 1
+    total = edges = 0
+    for region in g.regions():
+        edges += sum(1 for u in region.results if u.origin is not None)
+        for node in region.nodes:
+            total += 1
+            edges += sum(1 for u in node.inputs if u.origin is not None)
+            key = node.op.name if node.kind == "simple" else node.kind
+            counts[key] = counts.get(key, 0) + 1
     demanded, kept = dne.mark(g)
     dead = sum(1 for node in g.all_nodes()
                if node.outputs and node not in kept
                and not any(o in demanded for o in node.outputs))
     out.write("instrs=%d\n" % n_instrs)
     out.write("nodes=%d\n" % total)
+    out.write("edges=%d\n" % edges)
     out.write("dead=%d\n" % dead)
     for key in sorted(counts):
         out.write("op.%s=%d\n" % (key, counts[key]))

@@ -8,9 +8,17 @@ rejected.
 
 Demand annotation then computes, for every tree node, the variables it
 needs on entry (`demand_in`) and the variables still needed after it
-(`demand_out`).  The pseudo-variables '.mem' and '.io' are threaded by
-the read/write sets of stateful instructions, so state routing falls
-out of the same bookkeeping as ordinary variables.
+(`demand_out`).  Beneath it lie three sets per node: the upward-exposed
+reads, the must-writes (written on every path through the node) and the
+may-writes (written on some path).  A branch's `demand_out` is only the
+part of what follows that some alternative may write, and it is the
+demand its alternatives are annotated under; its `entries` are the
+union of their `demand_in`.  Every other demanded variable passes the
+branch by untouched, so the branch's own `demand_in` is the same as if
+the whole of what follows were routed through it.  The pseudo-variables
+'.mem' and '.io' are threaded by the read/write sets of stateful
+instructions, so state routing falls out of the same bookkeeping as
+ordinary variables.
 """
 
 from .source import Branch, Ret, instr_reads, instr_writes, successors
@@ -154,27 +162,33 @@ def _block_items(block):
 
 
 def _rw(tree):
-    """Bottom-up upward-exposed read set and write set per node."""
+    """Bottom-up upward-exposed read set, must-write set and may-write
+    set per node.  A branch must-writes what every alternative writes
+    and may write what any one does; a loop's body runs at least once,
+    so the loop has its body's sets."""
     if isinstance(tree, CTBlock):
         r, w = set(), set()
         for item in reversed(_block_items(tree.block)):
             r -= set(instr_writes(item))
             r |= set(instr_reads(item))
             w |= set(instr_writes(item))
+        m = w
     elif isinstance(tree, CTLinear):
-        r, w = set(), set()
+        r, w, m = set(), set(), set()
         for child in reversed(tree.children):
-            cr, cw = _rw(child)
+            cr, cw, cm = _rw(child)
             r = (r - cw) | cr
             w = w | cw
+            m = m | cm
     elif isinstance(tree, CTBranch):
-        rs, ws = zip(*(_rw(a) for a in tree.alts))
+        rs, ws, ms = zip(*(_rw(a) for a in tree.alts))
         r = set().union(*rs)
         w = set.intersection(*ws)
+        m = set().union(*ms)
     else:
-        r, w = _rw(tree.body)
-    tree.reads, tree.writes = r, w
-    return r, w
+        r, w, m = _rw(tree.body)
+    tree.reads, tree.writes, tree.may_writes = r, w, m
+    return r, w, m
 
 
 def _demand(tree, after):
@@ -188,9 +202,12 @@ def _demand(tree, after):
             d = child.demand_in
         tree.demand_in = d
     elif isinstance(tree, CTBranch):
+        # only what an alternative may write is routed through the branch
+        tree.demand_out &= tree.may_writes
         for a in tree.alts:
-            _demand(a, set(after))
-        tree.demand_in = set().union(*(a.demand_in for a in tree.alts))
+            _demand(a, tree.demand_out)
+        tree.entries = set().union(*(a.demand_in for a in tree.alts))
+        tree.demand_in = (after - tree.demand_out) | tree.entries
     else:
         d = set(after) | tree.reads
         _demand(tree.body, d)

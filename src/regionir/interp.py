@@ -410,8 +410,9 @@ def _plan(graph, region):
     one node, `step(machine, graph, env)`, in producer-before-consumer
     order.  The omega region and phi bodies, which only define
     functions and globals, plan every node; any other region plans its
-    live slice: what its results demand, plus every theta node -- a
-    loop nobody reads from still runs, and it may never terminate."""
+    live slice: what its results demand, plus every theta node and
+    every gamma that holds one -- a loop nobody reads from still runs,
+    and it may never terminate."""
     cached = _PLANS.get(graph)
     if cached is None or cached[0] != graph.version:
         cached = _PLANS[graph] = (graph.version, {})
@@ -432,7 +433,7 @@ def _live_slice(region):
     needed = set()
     stack = [r.origin for r in region.results]
     for n in region.nodes:
-        if n.kind == "theta":
+        if n.kind == "theta" or (n.kind == "gamma" and _holds_loop(n)):
             needed.add(n.id)
             stack.extend(u.origin for u in n.inputs)
     while stack:
@@ -443,6 +444,13 @@ def _live_slice(region):
         needed.add(p.node.id)
         stack.extend(u.origin for u in p.node.inputs)
     return needed
+
+
+def _holds_loop(gamma):
+    """Whether a theta sits in some alternative of `gamma`, directly
+    or in a nested gamma."""
+    return any(n.kind == "theta" or (n.kind == "gamma" and _holds_loop(n))
+               for sub in gamma.subregions for n in sub.nodes)
 
 
 def _eval_region(machine, graph, region, env):

@@ -11,8 +11,10 @@ second time.
 Loops whose outputs are all dead are still executed by the reference
 semantics and may spin forever, so a theta sitting in live code is
 never deleted even when nothing consumes it; its predicate (and
-whatever feeds it) stays demanded.  Thetas inside dead functions go
-away with the function.
+whatever feeds it) stays demanded.  Code is live when the function
+around it is: a gamma or theta runs whenever its own region does, so
+the gammas around such a theta stay too, with their predicates.
+Thetas inside dead functions go away with the function.
 """
 
 
@@ -82,7 +84,7 @@ def mark(graph):
     def region_live(region):
         while region.owner is not None and region.owner.kind != "omega":
             owner = region.owner
-            if owner not in kept \
+            if owner.kind not in ("gamma", "theta") and owner not in kept \
                     and not any(o in demanded for o in owner.outputs):
                 return False
             region = owner.region

@@ -36,7 +36,7 @@ import time
 
 from regionir import cli, randprog, render
 from regionir.build import BuildError, MEMVAR, IOVAR, construct, prepare_tree
-from regionir.controltree import CTBlock, CTBranch, children
+from regionir.controltree import CTBlock, CTBranch, CTLinear, children
 from regionir.destruct import destruct
 from regionir.parser import parse, check_module
 from regionir.passes import PassConfig, run_pipeline
@@ -308,21 +308,48 @@ def _dataflow_rw(t):
     return live_in[entry.name], writes
 
 
+def _full_demand(t, after):
+    """A subtree's demand on entry when every branch routes all of
+    `after` through its alternatives."""
+    if isinstance(t, CTBlock):
+        return (after - t.writes) | t.reads
+    if isinstance(t, CTLinear):
+        for c in reversed(t.children):
+            after = _full_demand(c, after)
+        return after
+    if isinstance(t, CTBranch):
+        return set().union(*(_full_demand(a, after) for a in t.alts))
+    return after | t.reads
+
+
 def _verify_annotation(fn):
     _, tree = prepare_tree(fn, {MEMVAR, IOVAR})
 
-    def walk(t):
+    def walk(t, after):
         r, w = _dataflow_rw(t)
         assert r == t.reads, (fn.name, type(t).__name__, r, t.reads)
         assert w == t.writes, (fn.name, type(t).__name__, w, t.writes)
-        for c in children(t):
-            walk(c)
-    walk(tree)
+        m = set().union(*(_block_effects(b)[1] for b in _tree_blocks(t)))
+        assert m == t.may_writes, (fn.name, type(t).__name__, m,
+                                   t.may_writes)
+        if isinstance(t, CTBranch):
+            assert t.demand_out <= t.may_writes, (fn.name, t.demand_out)
+            assert t.demand_in == _full_demand(t, after), fn.name
+            inner = [t.demand_out] * len(t.alts)
+        elif isinstance(t, CTLinear):
+            inner = [c.demand_in for c in t.children[1:]] + [after]
+        else:
+            inner = [t.demand_in]
+        for c, a in zip(children(t), inner):
+            walk(c, a)
+    walk(tree, {MEMVAR, IOVAR})
 
 
 def test_criterion_5_annotation_matches_independent_dataflow():
-    """[DERIVED] Tree-algebra read/write sets equal a block-level
-    dataflow fixpoint on every node of every corpus function."""
+    """[DERIVED] Tree-algebra read, must-write and may-write sets equal
+    a block-level recomputation on every node of every corpus function;
+    a branch routes only what it may write, and its demand on entry is
+    the one routing everything would give."""
     for fixture in corpus_files():
         mod = load_corpus(fixture)
         for fn in mod.functions.values():

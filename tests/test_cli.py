@@ -115,6 +115,17 @@ def test_stats_reports_dead_nodes():
     assert "dead=0" in text
 
 
+def test_stats_counts_edges():
+    """[DERIVED] edges= counts connected node inputs and region results.
+    In loop_in_branch.ir only the returned value leaves the gamma: its
+    alternatives touch no state and the loop inside one of them carries
+    no state either, which leaves 34 edges (59 if every demanded
+    variable went through the gamma)."""
+    code, text = run_cli("stats", corpus_path("loop_in_branch.ir"))
+    assert code == 0
+    assert "nodes=20\nedges=34\n" in text
+
+
 def test_roundtrip_command_samples_random_inputs():
     """[TRIVIAL]"""
     code, text = run_cli("roundtrip", corpus_path("popcount.ir"),

@@ -9,6 +9,7 @@ from regionir.build import construct, prepare_tree, MEMVAR, IOVAR
 from regionir.controltree import (CTBlock, CTLinear, CTBranch, CTLoop,
                                   build_control_tree, IrreducibleError)
 from regionir.restructure import restructure
+from regionir.types import I64, IO, MEM
 
 from conftest import assert_equivalent, build, load_corpus
 
@@ -84,6 +85,48 @@ def test_gcd_demand_annotation():
     loop = tree.children[1]
     assert sorted(loop.demand_in) == [IOVAR, MEMVAR, "x", "y"]
     assert sorted(loop.reads) == ["x", "y"]
+
+
+def _one_sided(extra):
+    """A two-way branch where only `t` writes x and neither side writes
+    y; both are used after the join.  `extra` goes into `t`."""
+    mod = parse(
+        "export define i64 @f(i64 %a, i64 %b) {\n"
+        "e:\n  %p = alloca i64\n  %x = add i64 %a, 1\n"
+        "  %y = add i64 %b, 1\n  %c = lt i64 %a, 0\n"
+        "  branch i1 %c, [%t, %u]\n"
+        "t:\n  %x = mul i64 %a, 3\n" + extra + "  br label %j\n"
+        "u:\n  %z = add i64 %b, 2\n  br label %j\n"
+        "j:\n  %r = add i64 %x, %y\n  ret i64 %r\n}")
+    check_module(mod)
+    g = build(mod)
+    (gamma,) = [n for n in g.all_nodes() if n.kind == "gamma"]
+    return mod, g, gamma
+
+
+def test_gamma_routes_only_what_an_alternative_writes():
+    """[DERIVED] The gamma gets one exit, for x, the only demanded
+    variable an alternative writes.  Its entries are x (u passes it
+    on) and what the alternatives read; y's user after the join takes
+    y's port from before the gamma.  Without stateful operations in the
+    alternatives no state port touches the gamma; a store in one adds
+    the memory exit and no io exit."""
+    mod, g, gamma = _one_sided("")
+    assert [o.ty for o in gamma.outputs] == [I64]
+    a, b = gamma.region.args[:2]
+    adds = {n.inputs[0].origin: n for n in gamma.region.nodes
+            if n.kind == "simple" and n.op.name == "add"}
+    x_before, y_before, joined = adds[a], adds[b], adds[gamma.outputs[0]]
+    assert [u.origin for u in gamma.inputs[1:]] == [a, b,
+                                                   x_before.outputs[0]]
+    assert joined.inputs[1].origin is y_before.outputs[0]
+    assert_equivalent(mod, g, "one-sided write")
+
+    mod, g, gamma = _one_sided("  store i64 %x, %p\n")
+    assert sorted(str(o.ty) for o in gamma.outputs) == ["i64", "mem"]
+    tys = [u.ty for u in gamma.inputs]
+    assert MEM in tys and IO not in tys
+    assert_equivalent(mod, g, "one-sided store")
 
 
 def test_mutual_recursion_shares_one_phi():

@@ -20,7 +20,7 @@ from regionir.passes.pipeline import (DEFAULT_ORDER, PASSES, format_stats,
 from regionir.passes import cne, dne, iln, inv, ivt, pll, psh, red, url
 
 from conftest import (assert_equivalent, bits, build, load_corpus,
-                      outcome_rvsdg)
+                      outcome_cfg, outcome_rvsdg)
 
 
 def _ops(graph, name, region_pred=None):
@@ -78,6 +78,40 @@ def test_dne_keeps_a_loop_nobody_reads():
     from conftest import outcome_cfg, outcome_rvsdg
     assert outcome_rvsdg(g, "spin", [1], fuel=3000) == ("trap", "fuel")
     assert outcome_rvsdg(g, "spin", [0], fuel=3000) == ("ok", [0], [])
+
+
+_SPIN = ("t:\n  %b = copy i64 %a\n  br label %h\n"
+         "h:\n  %b = sub i64 %b, 1\n  %go = lt i64 %b, 1\n"
+         "  branch i1 %go, [%j, %h]\n"
+         "j:\n  ret i64 %a\n}")
+_SPIN_IN_GAMMA = {
+    # the loop sits in one alternative and writes nothing read later
+    "flat": "e:\n  %c = lt i64 %a, 1\n  branch i1 %c, [%j, %t]\n",
+    # the same, one gamma further in
+    "nested": "e:\n  %c = lt i64 %a, 1\n  branch i1 %c, [%j, %s]\n"
+              "s:\n  %d = lt i64 %a, -5\n  branch i1 %d, [%t, %j]\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SPIN_IN_GAMMA))
+def test_a_loop_in_a_gamma_nobody_reads_still_runs(shape):
+    """[DERIVED] A gamma whose outputs nothing uses still runs when it
+    holds a loop, since the loop may never terminate: the graph spins
+    where the source does after construction, after DNE, and after INV
+    and DNE."""
+    mod = parse("export define i64 @f(i64 %a) {\n"
+                + _SPIN_IN_GAMMA[shape] + _SPIN)
+    check_module(mod)
+    expect = {a: outcome_cfg(mod, "f", [a], fuel=3000) for a in (0, 5, -9)}
+    assert expect[0] == ("trap", "fuel")
+    for steps in ((), (dne,), (inv, dne)):
+        g = build(mod)
+        for p in steps:
+            p.run(g)
+        assert g.validate() == []
+        assert any(n.kind == "theta" for n in g.all_nodes())
+        for a, want in expect.items():
+            assert outcome_rvsdg(g, "f", [a], fuel=3000) == want, (steps, a)
 
 
 def test_dne_mark_matches_sweep():
@@ -372,6 +406,30 @@ def test_iln_leaves_recursive_functions_alone():
     # the recursive calls inside the environment must all survive
     assert len(_ops(g, "apply", _inside("phi"))) >= 2
     _checked(mod, g, "mutual.ir")
+
+
+def test_iln_follows_a_callee_past_a_branch_in_the_loop():
+    """[DERIVED] The loop calls sq and holds a branch that does not
+    touch sq, so the gamma does not route sq and the theta passes it
+    through unchanged: ILN resolves the callee and inlines the call."""
+    mod = parse("define i64 @sq(i64 %v) {\n"
+                "e:\n  %r = mul i64 %v, %v\n  ret i64 %r\n}\n"
+                "export define i64 @f(i64 %n) {\n"
+                "e:\n  %i = copy i64 0\n  %s = copy i64 0\n"
+                "  %m = and i64 %n, 63\n  br label %h\n"
+                "h:\n  %t = call i64 @sq(i64 %i)\n  %s = add i64 %s, %t\n"
+                "  %c = lt i64 %s, 100\n  branch i1 %c, [%a, %b]\n"
+                "a:\n  %s = add i64 %s, 1\n  br label %k\n"
+                "b:\n  %s = sub i64 %s, 1\n  br label %k\n"
+                "k:\n  %i = add i64 %i, 1\n  %go = lt i64 %i, %m\n"
+                "  branch i1 %go, [%x, %h]\n"
+                "x:\n  ret i64 %s\n}")
+    check_module(mod)
+    g = build(mod)
+    assert len(_ops(g, "apply", _inside("theta"))) == 1
+    iln.run(g)
+    assert _ops(g, "apply") == []
+    _checked(mod, g, "call past a branch")
 
 
 # -- URL --------------------------------------------------------------------
