@@ -17,7 +17,7 @@ function type is lifted so the state kinds appear as trailing
 parameters and results.
 """
 
-from .types import PTR, MEM, IO, lift
+from .types import MEM, IO, lift
 from . import ops
 from .graph import Graph
 from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
@@ -27,7 +27,7 @@ from .parser import check_module
 from .ssa import destruct_ssa
 from .restructure import restructure, tarjan
 from .controltree import (build_control_tree, annotate, CTBlock, CTLinear,
-                          CTBranch, CTLoop, last_block)
+                          CTBranch)
 
 
 class BuildError(Exception):
@@ -47,7 +47,7 @@ class _Emitter:
     def __init__(self, g, vartys):
         self.g = g
         self.vartys = vartys
-        self.pending = None         # (port, ty, k): last branch selector
+        self.pending = None         # (port, k): last branch selector
         self.ret = None             # port of the return value
 
     # -- operands ---------------------------------------------------------
@@ -89,8 +89,8 @@ class _Emitter:
 
     def _emit_gamma(self, tree, region, syms):
         g = self.g
-        sel, sel_ty, k = self._take_pending(len(tree.alts))
-        pred = g.add_simple(region, ops.identity_match(sel_ty, k), [sel])
+        sel, k = self._take_pending(len(tree.alts))
+        pred = g.add_simple(region, ops.identity_match(sel.ty, k), [sel])
         node = g.begin_gamma(region, pred.outputs[0], k)
         subsyms = [{} for _ in range(k)]
         for v in sorted(tree.entries):
@@ -116,11 +116,11 @@ class _Emitter:
             bodysyms[v] = arg
             outs[v] = out
         self.emit(tree.body, body, bodysyms)
-        sel, sel_ty, k = self._take_pending(None)
+        sel, k = self._take_pending(None)
         j = tree.repeat_index
         table = [(i, 1 if i == j else 0) for i in range(k)]
         default = 1 if j == k - 1 else 0
-        pred = g.add_simple(body, ops.match(sel_ty, table, default, 2), [sel])
+        pred = g.add_simple(body, ops.match(sel.ty, table, default, 2), [sel])
         g.theta_set_predicate(node, pred.outputs[0])
         for l, v in enumerate(loopvars):
             g.theta_set_result(node, l, self.lookup(v, body, bodysyms))
@@ -129,12 +129,12 @@ class _Emitter:
     def _take_pending(self, k):
         if self.pending is None:
             raise BuildError("structure ends without a branch selector")
-        sel, sel_ty, sel_k = self.pending
+        sel, sel_k = self.pending
         self.pending = None
         if k is not None and sel_k != k:
             raise BuildError("selector arity %d vs %d alternatives"
                              % (sel_k, k))
-        return sel, sel_ty, sel_k
+        return sel, sel_k
 
     # -- blocks -----------------------------------------------------------
 
@@ -143,8 +143,9 @@ class _Emitter:
             self._emit_instr(i, region, syms)
         t = block.term
         if isinstance(t, Branch):
+            # matched at its own type: a wider declared one is the same value
             self.pending = (self.resolve(t.operand, t.ty, region, syms),
-                            lift(t.ty), len(t.targets))
+                            len(t.targets))
         elif isinstance(t, Ret) and t.operand is not None:
             self.ret = self.resolve(t.operand, t.ty, region, syms)
 
@@ -157,8 +158,6 @@ class _Emitter:
         ins = []
         if i.op == "call":
             callee = self.resolve(i.callee, None, region, syms)
-            if callee.ty.kind != "fn":
-                raise BuildError("calling a value of type %s" % callee.ty)
             op = ops.apply_op(callee.ty)
             ins.append(callee)
         else:
@@ -219,14 +218,8 @@ def translate_function(g, lam, fn, refsyms):
 
 
 def translate_initializer(g, delta, gv, refsyms):
-    """Fill a begun delta node: the initializer runs without the state
-    edges, so it must be free of memory and io operations."""
-    for b in gv.blocks:
-        for i in b.instrs:
-            if i.op in ("alloca", "load", "store", "call"):
-                raise BuildError(
-                    "initializer of @%s uses stateful operation %s"
-                    % (gv.name, i.op))
+    """Fill a begun delta node.  The initializer runs without the state
+    edges; `check_module` keeps memory and io operations out of it."""
     shim = Function(gv.name, [], gv.ty, blocks=gv.blocks)
     work, tree = prepare_tree(shim, set())
     em = _Emitter(g, _vartys_of(work))
@@ -256,24 +249,17 @@ def construct(module):
         else:
             _build_recursive(g, module, ipg, scc, symtab)
 
-    for name in module.order:
-        ent = module.functions.get(name) or module.globals_.get(name)
-        if ent is not None and ent.export:
-            g.omega_add_export(name, symtab[name])
+    for name in module.export_types():
+        g.omega_add_export(name, symtab[name])
     bad = g.validate()
     if bad:
         raise BuildError("construction left a broken graph: %s" % "; ".join(bad))
     return g
 
 
-def _ref_type(module, name):
-    ty = module.type_of(name)
-    return lift(ty) if ty.kind == "fn" else PTR
-
-
 def _build_single(g, module, ipg, name, symtab):
     if name in module.externals:
-        symtab[name] = g.omega_add_import(name, _ref_type(module, name))
+        symtab[name] = g.omega_add_import(name, lift(module.ref_type(name)))
         return
     if name in module.globals_:
         gv = module.globals_[name]

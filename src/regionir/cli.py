@@ -58,8 +58,7 @@ def _parse_args_flag(text):
 
 
 def _pick_fn(mod, name):
-    exported = [n for n in mod.order
-                if n in mod.functions and mod.functions[n].export]
+    exported = [n for n in mod.export_types() if n in mod.functions]
     if name is not None:
         if name not in mod.functions:
             raise SourceError("no function @%s" % name)
@@ -190,8 +189,7 @@ def cmd_roundtrip(ns, out):
     check_module(back)
     rng = random.Random(ns.seed)
     names = ([_pick_fn(mod, ns.fn)] if ns.fn else
-             [n for n in mod.order
-              if n in mod.functions and mod.functions[n].export])
+             [n for n in mod.export_types() if n in mod.functions])
     for name in names:
         fn = mod.functions[name]
         checked = 0

@@ -9,6 +9,9 @@ copies, a theta becomes a do-while whose latch reassigns the loop
 variables with a sequentialized parallel copy.  State-typed ports
 vanish; the instruction order of the emitted blocks preserves the
 state edge order because emission follows a topological order.
+A match is elided into the branch that consumes it, so a ctl-typed
+gamma exit or theta loop variable carries the selector itself, and is
+declared at that selector's type for `construct` to match it again.
 
 The blocks come out in non-SSA form and are put back into SSA by the
 standard reconstruction before the module is returned.
@@ -16,7 +19,7 @@ standard reconstruction before the module is returned.
 
 from .types import I64, lower
 from .source import (Module, Function, GlobalVar, Block, Instr, Br, Branch,
-                     Ret, Var, Lit, GlobalRef, result_ty)
+                     Ret, Var, Lit, GlobalRef)
 from .ssa import NameGen, construct_ssa, sequence_parallel_copies
 from .ops import node_order
 
@@ -25,27 +28,12 @@ class DestructError(Exception):
     pass
 
 
-def _sty(ty):
-    """Source-level type of a graph port type.  Control types widen to
-    i64: eliding an identity match leaves the raw selector in the
-    variable, and a narrow copy could clip an out-of-range value that
-    the consuming branch would have defaulted."""
-    if ty.kind == "ctl":
-        return I64
-    if ty.kind == "fn":
-        return lower(ty)
-    if ty.is_state:
-        return None
-    return ty
-
-
 class _Lowerer:
     """Reconstructs one function-like body (a lambda or delta region)."""
 
     def __init__(self, graph):
         self.g = graph
         self.names = NameGen()
-        self.tys = {}               # var name -> source type
         self.blocks = []
         self.cur = self._block()
 
@@ -56,17 +44,40 @@ class _Lowerer:
 
     def emit(self, instr):
         self.cur.instrs.append(instr)
-        if instr.dest is not None:
-            self.tys[instr.dest] = result_ty(instr)
 
     def operand(self, env, use):
         return env[use.origin]
 
-    def selector_ty(self, o):
-        """The declared type of a branch selector operand."""
-        if isinstance(o, Var):
-            return self.tys.get(o.name, I64)
-        return I64
+    def var_ty(self, port):
+        """The source type of a variable holding `port`'s value.  A ctl
+        value is the selector of an elided match, routed through gammas
+        and thetas, and keeps the type of that match's input.  Literals
+        fit any type, so a ctl value made of them alone is i64."""
+        if port.ty.kind != "ctl":
+            return lower(port.ty)
+        tys, seen, stack = set(), set(), [port]
+        while stack:
+            p = stack.pop()
+            if p in seen:
+                continue
+            seen.add(p)
+            node = p.node
+            if node is None:                # a gamma or theta argument
+                node = p.region.owner
+                if node.kind == "gamma":
+                    stack.append(node.inputs[p.index + 1].origin)
+                    continue
+            if node.kind == "gamma":
+                stack += [r.results[p.index].origin for r in node.subregions]
+            elif node.kind == "theta":
+                stack += [node.inputs[p.index].origin,
+                          node.subregions[0].results[p.index + 1].origin]
+            elif node.op.name == "match":
+                tys.add(node.inputs[0].ty)
+        if len(tys) > 1:
+            raise DestructError("one %s value carries selectors of types %s"
+                                % (port.ty, sorted(map(str, tys))))
+        return tys.pop() if tys else I64
 
     def run(self, region, env, ret_ty):
         results = self.lower_region(region, env)
@@ -102,6 +113,7 @@ class _Lowerer:
         pred = self.operand(env, node.inputs[0])
         exit_ports = [o for o in node.outputs if not o.ty.is_state]
         exit_vars = {o: self.names.fresh("v") for o in exit_ports}
+        exit_tys = {o: self.var_ty(o) for o in exit_ports}
         head = self.cur
         cont = Block(self.names.fresh("b"))
         alt_names = []
@@ -116,10 +128,10 @@ class _Lowerer:
             self.lower_region(sub, inner)
             for o in exit_ports:
                 res = sub.results[o.index]
-                self.emit(Instr("copy", dest=exit_vars[o], ty=_sty(o.ty),
+                self.emit(Instr("copy", dest=exit_vars[o], ty=exit_tys[o],
                                 operands=[inner[res.origin]]))
             self.cur.term = Br(cont.name)
-        head.term = Branch(self.selector_ty(pred), pred, alt_names)
+        head.term = Branch(self.var_ty(node.inputs[0].origin), pred, alt_names)
         self.blocks.append(cont)
         self.cur = cont
         for o in exit_ports:
@@ -130,11 +142,12 @@ class _Lowerer:
         body = node.subregions[0]
         loop = [(l, use) for l, use in enumerate(node.inputs)
                 if not use.ty.is_state]
-        carried = {}
+        carried, tys = {}, {}
         for l, use in loop:
             w = self.names.fresh("v")
             carried[l] = w
-            self.emit(Instr("copy", dest=w, ty=_sty(use.ty),
+            tys[l] = self.var_ty(node.outputs[l])
+            self.emit(Instr("copy", dest=w, ty=tys[l],
                             operands=[self.operand(env, use)]))
         head = self._block()
         self.cur.term = Br(head.name)
@@ -147,13 +160,13 @@ class _Lowerer:
         pairs = []
         for l, use in loop:
             res = body.results[l + 1]
-            pairs.append((carried[l], _sty(use.ty), inner[res.origin]))
+            pairs.append((carried[l], tys[l], inner[res.origin]))
         for instr in sequence_parallel_copies(pairs, self.names):
             self.emit(instr)
         exit_blk = Block(self.names.fresh("b"))
         # out-of-range selectors take the last target, so a repeating
         # match default and the repeat block must both sit last
-        self.cur.term = Branch(self.selector_ty(pred), pred,
+        self.cur.term = Branch(self.var_ty(body.results[0].origin), pred,
                                [exit_blk.name, head.name])
         self.blocks.append(exit_blk)
         self.cur = exit_blk
@@ -193,7 +206,7 @@ class _Lowerer:
             return
         outs = [o for o in node.outputs if not o.ty.is_state]
         dest = self.names.fresh("v") if outs else None
-        self.emit(Instr(n, dest=dest, ty=_sty(op.ty), operands=node_order(
+        self.emit(Instr(n, dest=dest, ty=lower(op.ty), operands=node_order(
             n, [self.operand(env, u) for u in ins])))
         for o in outs:
             env[o] = Var(dest)
@@ -213,7 +226,6 @@ def _lower_lambda(graph, node, portname):
     for a, pty in zip(value_args, fn_ty.params):
         pname = low.names.fresh("a")
         params.append((pname, pty))
-        low.tys[pname] = pty
         env[a] = Var(pname)
     ret_ty = fn_ty.results[0] if fn_ty.results else None
     blocks = low.run(body, env, ret_ty)

@@ -267,12 +267,9 @@ def _operand(module, env, o, ty):
         return env[o.name]
     if isinstance(o, Lit):
         return coerce_literal(o.value, ty)
-    if o.name in module.globals_:
-        return global_addr(o.name)
-    t = module.type_of(o.name)
-    if t.kind == "fn":
+    if module.ref_type(o.name).kind == "fn":
         return FnValue(o.name, external=o.name in module.externals)
-    return global_addr(o.name)       # external data
+    return global_addr(o.name)       # a global or external data
 
 
 def _run_blocks(module, machine, blocks, env):

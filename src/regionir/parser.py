@@ -1,15 +1,37 @@
-"""Parser and printer for the textual source IR.
+"""Parser, checker and printer for the textual source IR.
 
-The grammar is a small LLVM-flavored syntax; see grammar.md in the
-repository root.  print(parse(text)) reaches a fixpoint after one round.
+The grammar is in the Source IR section of README.md.
+print(parse(text)) reaches a fixpoint after one round.
+
+Typing rule (`check_module`).  A %variable has the one type its
+assignments declare, and an @name the type `Module.ref_type` gives it.
+Every operand position has one expected type, the type `construct`
+gives the port it fills, and a variable or @name there must have it
+(a literal takes it):
+
+- a simple instruction's operand: its node's input by
+  `SimpleOp.signature`, put in operand order by `ops.node_order`;
+- a phi entry: the phi's type;
+- copy and ret: the declared type, and a ret declares its function's
+  result type (its global's, in an initializer);
+- a call argument: its declared parameter type;
+- the callee: a function with the declared parameter types, and the
+  declared result type when the call names a result.
+
+The one exception is the branch selector, which may be declared wider
+than its variable: the value is the same, and out-of-range selectors
+take the last target.  A global's initializer runs without the state
+edges, so it may not allocate, load, store or call.
 """
 
+import functools
 import re
 
-from .types import Ty, I64, F64, PTR, intty, fnty, INT_WIDTHS
+from . import ops
+from .types import F64, PTR, intty, fnty, INT_WIDTHS
 from .source import (Module, Function, GlobalVar, Block, Instr, Phi, Br, Branch,
-                     Ret, Var, Lit, GlobalRef, ARITH, FLOAT_ARITH, CMP,
-                     validate_cfg, result_ty)
+                     Ret, Var, Lit, GlobalRef, ARITH, CMP, validate_cfg,
+                     result_ty)
 
 
 class ParseError(Exception):
@@ -83,6 +105,23 @@ class Parser:
             return True
         return False
 
+    def parse_list(self, item, open_="(", close=")"):
+        """`open_ item, ... close`, possibly empty."""
+        self.expect(open_)
+        out = []
+        if not self.accept(close):
+            out.append(item())
+            while self.accept(","):
+                out.append(item())
+            self.expect(close)
+        return out
+
+    def _label(self):
+        kind, v, line, col = self.next()
+        if kind != "var":
+            raise ParseError("expected a label", line, col)
+        return v[1:]
+
     # -- types ------------------------------------------------------------
 
     def parse_type(self):
@@ -94,28 +133,12 @@ class Parser:
         if v == "ptr":
             return PTR
         if v == "fn":
-            self.expect("(")
-            params = []
-            if not self.accept(")"):
-                params.append(self.parse_type())
-                while self.accept(","):
-                    params.append(self.parse_type())
-                self.expect(")")
+            params = self.parse_list(self.parse_type)
             self.expect("->")
-            results = self.parse_rettypes()
-            return fnty(params, results)
+            if self.peek()[1] == "(":
+                return fnty(params, self.parse_list(self.parse_type))
+            return fnty(params, [self.parse_type()])
         raise ParseError("expected a type, found %r" % v, line, col)
-
-    def parse_rettypes(self):
-        if self.accept("("):
-            out = []
-            if not self.accept(")"):
-                out.append(self.parse_type())
-                while self.accept(","):
-                    out.append(self.parse_type())
-                self.expect(")")
-            return out
-        return [self.parse_type()]
 
     # -- operands ---------------------------------------------------------
 
@@ -188,27 +211,26 @@ class Parser:
         mod.globals_[name] = GlobalVar(name, ty, export=export, blocks=blocks)
         mod.order.append(name)
 
-    def _parse_define(self, mod, export):
-        if self.peek()[1] == "(":
-            self.expect("(")
+    def _result_type(self):
+        """A type, or None for `()`."""
+        if self.accept("("):
             self.expect(")")
-            ret_ty = None
-        else:
-            ret_ty = self.parse_type()
+            return None
+        return self.parse_type()
+
+    def _parse_define(self, mod, export):
+        ret_ty = self._result_type()
         name = self._name()
         self._unique(mod, name)
-        self.expect("(")
-        params = []
-        if not self.accept(")"):
-            while True:
-                pty = self.parse_type()
-                kind, v, line, col = self.next()
-                if kind != "var":
-                    raise ParseError("expected parameter name", line, col)
-                params.append((v[1:], pty))
-                if not self.accept(","):
-                    break
-            self.expect(")")
+
+        def param():
+            pty = self.parse_type()
+            kind, v, line, col = self.next()
+            if kind != "var":
+                raise ParseError("expected parameter name", line, col)
+            return v[1:], pty
+
+        params = self.parse_list(param)
         self.expect("{")
         blocks = self.parse_blocks()
         self.expect("}")
@@ -260,26 +282,13 @@ class Parser:
         elif v == "br":
             self.next()
             self.expect("label")
-            kind, v, line, col = self.next()
-            if kind != "var":
-                raise ParseError("expected a label", line, col)
-            block.term = Br(v[1:])
+            block.term = Br(self._label())
         elif v == "branch":
             self.next()
             ty = self.parse_type()
             opnd = self.parse_operand()
             self.expect(",")
-            self.expect("[")
-            targets = []
-            while True:
-                kind, v, line, col = self.next()
-                if kind != "var":
-                    raise ParseError("expected a label", line, col)
-                targets.append(v[1:])
-                if not self.accept(","):
-                    break
-            self.expect("]")
-            block.term = Branch(ty, opnd, targets)
+            block.term = Branch(ty, opnd, self.parse_list(self._label, "[", "]"))
         elif v == "ret":
             self.next()
             if self.peek()[0] in ("var", "glob", "int", "float") \
@@ -297,23 +306,18 @@ class Parser:
         if v == "phi":
             ty = self.parse_type()
             entries = []
-            while True:
+            while not entries or self.accept(","):
                 self.expect("[")
                 o = self.parse_operand()
                 self.expect(",")
-                k2, v2, l2, c2 = self.next()
-                if k2 != "var":
-                    raise ParseError("expected a label", l2, c2)
-                entries.append((o, v2[1:]))
+                entries.append((o, self._label()))
                 self.expect("]")
-                if not self.accept(","):
-                    break
             block.phis.append(Phi(dest, ty, entries))
             return
         if v == "call":
             block.instrs.append(self._parse_call(dest))
             return
-        if v in ARITH or v in CMP:
+        if v in ARITH or v in CMP or v == "gep":
             ty = self.parse_type()
             a = self.parse_operand()
             self.expect(",")
@@ -325,11 +329,8 @@ class Parser:
             block.instrs.append(Instr(v, dest=dest, ty=ty,
                                       operands=[self.parse_operand()]))
             return
-        if v == "undef":
-            block.instrs.append(Instr("undef", dest=dest, ty=self.parse_type()))
-            return
-        if v == "alloca":
-            block.instrs.append(Instr("alloca", dest=dest, ty=self.parse_type()))
+        if v in ("undef", "alloca"):
+            block.instrs.append(Instr(v, dest=dest, ty=self.parse_type()))
             return
         if v == "load":
             ty = self.parse_type()
@@ -337,35 +338,17 @@ class Parser:
             block.instrs.append(Instr("load", dest=dest, ty=ty,
                                       operands=[self.parse_operand()]))
             return
-        if v == "gep":
-            ty = self.parse_type()
-            p = self.parse_operand()
-            self.expect(",")
-            i = self.parse_operand()
-            block.instrs.append(Instr("gep", dest=dest, ty=ty, operands=[p, i]))
-            return
         raise ParseError("unknown instruction %r" % v, line, col)
 
     def _parse_call(self, dest):
-        if self.accept("("):
-            self.expect(")")
-            ret_ty = None
-        else:
-            ret_ty = self.parse_type()
+        ret_ty = self._result_type()
         callee = self.parse_operand()
         if isinstance(callee, Lit):
             self.error("callee must be a function value")
-        self.expect("(")
-        args, arg_tys = [], []
-        if not self.accept(")"):
-            while True:
-                arg_tys.append(self.parse_type())
-                args.append(self.parse_operand())
-                if not self.accept(","):
-                    break
-            self.expect(")")
-        return Instr("call", dest=dest, ty=ret_ty, operands=args,
-                     callee=callee, arg_tys=arg_tys)
+        args = self.parse_list(lambda: (self.parse_type(), self.parse_operand()))
+        return Instr("call", dest=dest, ty=ret_ty,
+                     operands=[o for _, o in args], callee=callee,
+                     arg_tys=[t for t, _ in args])
 
 
 def parse(text):
@@ -386,9 +369,8 @@ class SourceError(Exception):
 def check_module(mod):
     for name in mod.order:
         ent = mod.functions.get(name) or mod.globals_.get(name)
-        if ent is None:
-            continue
-        _check_body(mod, ent)
+        if ent is not None:
+            _check_body(mod, ent)
     bad = []
     for fn in mod.functions.values():
         bad += ["%s: %s" % (fn.name, v)
@@ -401,92 +383,110 @@ def check_module(mod):
         raise SourceError("; ".join(bad))
 
 
-def _check_body(mod, ent):
-    vartys = {}
-    if isinstance(ent, Function):
-        for pname, pty in ent.params:
-            vartys[pname] = pty
+@functools.lru_cache(maxsize=None)
+def _simple_operand_types(op, ty):
+    """The types `construct` gives the operands of a simple instruction:
+    its node's value inputs by `SimpleOp.signature`, put back into the
+    instruction's order."""
+    ins = ops.SimpleOp(op, ty).signature()[0]
+    return tuple(ops.node_order(op, [t for t in ins if t.is_value]))
 
+
+def _check_body(mod, ent):
+    """The typing rule of the module docstring, on one body."""
+    where = ent.name
+    is_global = isinstance(ent, GlobalVar)
+    result = ent.ty if is_global else ent.ret_ty
+    vartys = {} if is_global else dict(ent.params)
     for b in ent.blocks:
         for p in b.phis:
-            _settle(vartys, p.dest, p.ty, ent.name)
+            _settle(vartys, p.dest, p.ty, where)
         for i in b.instrs:
             if i.dest is not None:
-                _settle(vartys, i.dest, result_ty(i), ent.name)
+                _settle(vartys, i.dest, result_ty(i), where)
+
+    def type_of(o, ty):
+        """The type of operand `o`; a literal takes the type `ty` of its
+        position."""
+        if o.__class__ is Var:
+            vty = vartys.get(o.name)
+            if vty is None:
+                raise SourceError("%s: use of undefined %s" % (where, o))
+            return vty
+        if isinstance(o, GlobalRef):
+            try:
+                return mod.ref_type(o.name)
+            except KeyError:
+                raise SourceError("%s: reference to undefined %s"
+                                  % (where, o))
+        return ty
+
+    def expect(o, ty, user):
+        vty = type_of(o, ty)
+        if vty is not ty and vty != ty:
+            raise SourceError("%s: %s %s as %s but it is %s"
+                              % (where, _position(user), o, ty, vty))
+
     for b in ent.blocks:
-        for i in b.instrs:
-            for o in i.operands + ([i.callee] if i.op == "call" else []):
-                _check_operand(mod, vartys, o, ent.name)
-            if i.op == "call":
-                _check_call(mod, vartys, i, ent.name)
-            if i.op == "copy" and isinstance(i.operands[0], Var):
-                # construct binds the destination to the operand itself,
-                # so a retyping copy would change the value's type
-                vty = vartys[i.operands[0].name]
-                if vty != i.ty:
-                    raise SourceError("%s: copies %%%s as %s but it is %s"
-                                      % (ent.name, i.operands[0].name,
-                                         i.ty, vty))
         for p in b.phis:
             for o, _ in p.entries:
-                _check_operand(mod, vartys, o, ent.name)
+                expect(o, p.ty, p)
+        for i in b.instrs:
+            if is_global and i.op in ("alloca", "load", "store", "call"):
+                # a delta has no state edges to thread
+                raise SourceError("initializer of @%s uses stateful "
+                                  "operation %s" % (where, i.op))
+            if i.op == "copy":
+                tys = (i.ty,)
+            elif i.op == "call":
+                declared = fnty(i.arg_tys, [] if i.ty is None else [i.ty])
+                fty = type_of(i.callee, declared)
+                if fty.kind != "fn" or fty.params != declared.params or \
+                        i.dest is not None and fty.results != declared.results:
+                    raise SourceError("%s: calls %s as %s but it is %s"
+                                      % (where, i.callee, declared, fty))
+                tys = i.arg_tys
+            else:
+                tys = _simple_operand_types(i.op, i.ty)
+            for o, ty in zip(i.operands, tys):
+                expect(o, ty, i)
         t = b.term
         if isinstance(t, Branch):
-            _check_operand(mod, vartys, t.operand, ent.name)
             if t.ty.kind != "int":
                 raise SourceError("%s: branch selector must be an integer"
-                                  % ent.name)
-            if isinstance(t.operand, Var):
-                # a wider declared type is harmless, a narrower one clips
-                vty = vartys[t.operand.name]
-                if vty.kind != "int" or vty.width > t.ty.width:
-                    raise SourceError("%s: branch selector %%%s is %s, not %s"
-                                      % (ent.name, t.operand.name, vty, t.ty))
+                                  % where)
+            # a wider declared type is harmless, a narrower one clips
+            vty = type_of(t.operand, t.ty)
+            if vty.kind != "int" or vty.width > t.ty.width:
+                raise SourceError("%s: branch selector %s is %s, not %s"
+                                  % (where, t.operand, vty, t.ty))
         elif isinstance(t, Ret) and t.operand is not None:
-            _check_operand(mod, vartys, t.operand, ent.name)
-            if isinstance(t.operand, Var):
-                # construct types the lambda's result by the operand, so
-                # a widening or narrowing ret would change the signature
-                vty = vartys[t.operand.name]
-                if vty != t.ty:
-                    raise SourceError("%s: returns %%%s as %s but it is %s"
-                                      % (ent.name, t.operand.name, t.ty, vty))
-    ent._vartys = vartys
+            if t.ty != result:
+                raise SourceError("%s: returns %s as %s but the result is %s"
+                                  % (where, t.operand, t.ty, result or "()"))
+            expect(t.operand, t.ty, t)
 
 
-def _check_call(mod, vartys, i, where):
-    """A call to a function value must declare its parameter types, and
-    its result type when it names a result: construct types literal
-    arguments by the parameters and binds the result by the callee."""
-    c = i.callee
-    fty = vartys[c.name] if isinstance(c, Var) else mod.type_of(c.name)
-    if fty.kind != "fn":
-        return                      # construct rejects the call itself
-    if fty.params != tuple(i.arg_tys) or \
-            i.dest is not None and fty.results != (i.ty,):
-        raise SourceError("%s: call of %s %s as %s" % (
-            where, fty, c, fnty(i.arg_tys, [] if i.ty is None else [i.ty])))
+def _position(user):
+    """How a type error names the operand position of `user`."""
+    if isinstance(user, Phi):
+        return "phi %%%s takes" % user.dest
+    if isinstance(user, Ret):
+        return "returns"
+    if user.op == "copy":
+        return "copies"
+    head = "%" + user.dest + " = " if user.dest is not None else ""
+    return "%s%s takes" % (head, user.op)
 
 
 def _settle(vartys, name, ty, where):
     if ty is None:
         raise SourceError("%s: %%%s has no type" % (where, name))
     old = vartys.get(name)
-    if old is not None and old != ty:
+    if old is not None and old is not ty and old != ty:
         raise SourceError("%s: %%%s assigned as both %s and %s"
                           % (where, name, old, ty))
     vartys[name] = ty
-
-
-def _check_operand(mod, vartys, o, where):
-    if isinstance(o, Var):
-        if o.name not in vartys:
-            raise SourceError("%s: use of undefined %%%s" % (where, o.name))
-    elif isinstance(o, GlobalRef):
-        try:
-            mod.type_of(o.name)
-        except KeyError:
-            raise SourceError("%s: reference to undefined @%s" % (where, o.name))
 
 
 # -- printer --------------------------------------------------------------

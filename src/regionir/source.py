@@ -5,7 +5,7 @@ removal, immediate dominator tree, and the result type of an instruction."""
 
 from dataclasses import dataclass, field, replace
 
-from .types import Ty, I1, I64, F64, PTR, fnty
+from .types import Ty, I1, PTR, fnty
 
 # variables threaded implicitly by stateful instructions
 MEMVAR = ".mem"
@@ -115,14 +115,25 @@ class Module:
     externals: dict = field(default_factory=dict)   # name -> declared type
     order: list = field(default_factory=list)       # declaration order
 
-    def type_of(self, name):
+    def ref_type(self, name):
+        """The type of the value `@name`: a function's type, or `ptr`
+        for anything else (a global names the address of its cell)."""
         if name in self.functions:
             return self.functions[name].fn_type()
+        if name in self.externals:
+            ty = self.externals[name]
+            return ty if ty.kind == "fn" else PTR
         if name in self.globals_:
             return PTR
-        if name in self.externals:
-            return self.externals[name]
         raise KeyError("undefined name @%s" % name)
+
+    def export_types(self):
+        """Each exported name in declaration order, with its type: a
+        function's type, a global's cell type."""
+        return {n: e.fn_type() if isinstance(e, Function) else e.ty
+                for n in self.order
+                for e in [self.functions.get(n) or self.globals_.get(n)]
+                if e is not None and e.export}
 
 
 def copy_function(fn):

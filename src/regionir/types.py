@@ -42,17 +42,13 @@ class Ty:
         return self.kind
 
 
-I1 = Ty("int", width=1)
-I8 = Ty("int", width=8)
-I16 = Ty("int", width=16)
-I32 = Ty("int", width=32)
-I64 = Ty("int", width=64)
+# one object per integer type, so that most type compares are identity
+INT_TYPES = {w: Ty("int", width=w) for w in INT_WIDTHS}
+I1, I8, I16, I32, I64 = (INT_TYPES[w] for w in INT_WIDTHS)
 F64 = Ty("f64")
 PTR = Ty("ptr")
 MEM = Ty("mem")
 IO = Ty("io")
-
-INT_TYPES = {w: Ty("int", width=w) for w in INT_WIDTHS}
 
 
 def intty(width):

@@ -84,6 +84,13 @@ def assert_equivalent(mod, graph, fixture, n_inputs=10, seed=0, back=None):
                                                             args, ref, rt)
 
 
+def assert_closes(mod, back):
+    """`back`, a destruction of `mod`'s graph, constructs again and
+    exports the same names at the same types: the round trip closes."""
+    construct(back)
+    assert back.export_types() == mod.export_types()
+
+
 @pytest.fixture(params=corpus_files())
 def fixture_name(request):
     return request.param

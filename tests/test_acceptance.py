@@ -4,9 +4,11 @@
    plus >= 500 seeded random CFGs: interpret(source) =
    interpret(destruct(construct(source))) on results and ordered
    side-effect traces, >= 100 random inputs each, zero failures, under
-   ten minutes.
+   ten minutes; construct(destruct(construct(source))) succeeds with
+   the source's exported types.
 2. Each of the nine passes individually preserves oracle equivalence
-   on the same corpus.
+   on the same corpus, and on the corpus the round trip closes after
+   each pass.
 3. Common node elimination plus cleanup reduces the four-product
    kernel's multiplications to exactly three; loads with different
    memory-state origins are never merged.
@@ -45,9 +47,9 @@ from regionir.passes import cne, dne
 from regionir.source import instr_reads, instr_writes, successors
 from regionir.interp import DEFAULT_FUEL
 
-from conftest import (FUEL_OVERRIDE, assert_equivalent, build, corpus_files,
-                      corpus_path, exported, load_corpus, outcome_cfg,
-                      outcome_rvsdg)
+from conftest import (FUEL_OVERRIDE, assert_closes, assert_equivalent, build,
+                      corpus_files, corpus_path, exported, load_corpus,
+                      outcome_cfg, outcome_rvsdg)
 
 N_RANDOM = 500
 # mostly small programs, with a tail of large ones so criterion 7's fit
@@ -87,7 +89,8 @@ def _random_triple_ok(seed, mod, back, n_inputs):
 
 def test_criterion_1_roundtrip_equivalence_corpus_wide():
     """[DERIVED] Source and destruct(construct(source)) agree on
-    results and ordered traces; zero failures; under ten minutes."""
+    results and ordered traces, and the round trip closes; zero
+    failures; under ten minutes."""
     t0 = time.time()
     names = corpus_files()
     assert len(names) >= 25
@@ -96,12 +99,14 @@ def test_criterion_1_roundtrip_equivalence_corpus_wide():
         g = build(mod)
         back = destruct(g)
         check_module(back)
+        assert_closes(mod, back)
         assert_equivalent(mod, g, name, n_inputs=100, back=back)
     failures = []
     for seed in range(N_RANDOM):
         mod = _random_module(seed)
         back = destruct(construct(mod))
         check_module(back)
+        assert_closes(mod, back)
         bad = _random_triple_ok(seed, mod, back, n_inputs=100)
         if bad is not None:
             failures.append((seed, bad))
@@ -113,7 +118,8 @@ def test_criterion_1_roundtrip_equivalence_corpus_wide():
 
 def test_criterion_2_each_pass_preserves_equivalence():
     """[DERIVED] Every one of the nine passes, run by itself on a fresh
-    graph, keeps all three evaluations in agreement."""
+    graph, keeps all three evaluations in agreement; on the corpus the
+    round trip after each pass closes."""
     def run_one(name, g):
         if name == "URL":
             PASSES[name](g, factor=4)
@@ -128,6 +134,7 @@ def test_criterion_2_each_pass_preserves_equivalence():
             run_one(pass_name, g)
             back = destruct(g)
             check_module(back)
+            assert_closes(mod, back)
             assert_equivalent(mod, g, fixture, n_inputs=10, back=back)
     # On the random half the oracle is the graph evaluation itself;
     # destruction after passes is criterion 1's subject and stays out

@@ -56,6 +56,49 @@ def test_check_rejects_widening_ret(tmp_path):
     assert code == 1
 
 
+# Programs that the checker rejects, each with the position it names.
+# Construction types every operand by its position, so each would
+# otherwise fail in `construct` or, for ret.ir, build an i8 function.
+_GLOBAL = "global i64 @g = {\ne:\n  ret i64 5\n}\n"
+_LT = "export define i64 @f(i64 %a) {\ne:\n  %c = lt i64 %a, 0\n"
+ILL_TYPED = {
+    "phi.ir": (_LT + "  branch i1 %c, [%l, %r]\nl:\n  br label %j\n"
+               "r:\n  br label %j\nj:\n  %w = phi i64 [%c, %l], [7, %r]\n"
+               "  ret i64 %w\n}\n",
+               "f: phi %w takes %c as i64 but it is i1"),
+    "add.ir": (_LT + "  %w = add i64 %c, 1\n  ret i64 %w\n}\n",
+               "f: %w = add takes %c as i64 but it is i1"),
+    "mix.ir": (_LT + "  %w = copy i64 %c\n  ret i64 %w\n}\n",
+               "f: copies %c as i64 but it is i1"),
+    "global_add.ir": (_GLOBAL + "export define i64 @f(i64 %a) {\ne:\n"
+                      "  %w = add i64 @g, 1\n  ret i64 %w\n}\n",
+                      "f: %w = add takes @g as i64 but it is ptr"),
+    "global_call.ir": (_GLOBAL + "export define i64 @f(i64 %a) {\ne:\n"
+                       "  %w = call i64 @g(i64 %a)\n  ret i64 %w\n}\n",
+                       "f: calls @g as fn(i64) -> i64 but it is ptr"),
+    "ret.ir": ("export define i64 @f(i64 %a) {\ne:\n  ret i8 5\n}\n",
+               "f: returns 5 as i8 but the result is i64"),
+    "void_ret.ir": ("export define () @f(i64 %a) {\ne:\n  ret i64 %a\n}\n",
+                    "f: returns %a as i64 but the result is ()"),
+    "stateful_global.ir": ("global i64 @g = {\ne:\n  %p = alloca i64\n"
+                           "  store i64 5, %p\n  %v = load i64, %p\n"
+                           "  ret i64 %v\n}\n",
+                           "initializer of @g uses stateful operation alloca"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILL_TYPED))
+def test_check_rejects_ill_typed_operands(tmp_path, capsys, name):
+    """[DERIVED] `check` exits 1 on an operand whose type is not the
+    one its position expects, and names the position."""
+    text, message = ILL_TYPED[name]
+    p = tmp_path / name
+    p.write_text(text)
+    code, _ = run_cli("check", str(p))
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file_exits_one():
     """[TRIVIAL]"""
     code, _ = run_cli("check", "no/such/file.ir")

@@ -4,11 +4,13 @@
 assert the output is well-formed source.
 """
 
+from regionir import randprog
 from regionir.parser import check_module, parse, print_module
 from regionir.destruct import destruct
+from regionir.passes.pipeline import PASSES
 from regionir.source import ARITH, CMP, validate_cfg
 
-from conftest import assert_equivalent, build, load_corpus
+from conftest import assert_closes, assert_equivalent, build, load_corpus
 
 
 def test_roundtrip_output_is_checkable(fixture_name):
@@ -140,3 +142,16 @@ def test_every_instruction_survives_the_roundtrip():
     check_module(back)
     assert _op_multiset(back) == _op_multiset(mod)
     assert_equivalent(mod, g, "every_op", back=back)
+
+
+def test_unrolled_round_trip_closes():
+    """[DERIVED] After unrolling, a loop variable carries an i1
+    selector on one path and a ctl literal on another.  Destruction
+    declares it at the selector's type, so its output constructs again
+    with the source's exported types (seed 1000 under URL, factor 4)."""
+    mod = parse(randprog.generate(1000, size=1))
+    g = build(mod)
+    PASSES["URL"](g, factor=4)
+    back = destruct(g)
+    check_module(back)
+    assert_closes(mod, back)

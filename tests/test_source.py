@@ -57,12 +57,14 @@ def test_branch_selector_narrowing_rejected():
 
 def test_branch_selector_widening_allowed():
     """[DERIVED] Declaring the selector wider than the variable is
-    harmless: the value is reused unchanged."""
+    harmless: the value is reused unchanged, and construction matches
+    it at the variable's own type."""
     mod = parse(
         "define i64 @f(i64 %a) {\n"
         "e:\n  %c = ne i64 %a, 0\n  branch i64 %c, [%x, %y]\n"
         "x:\n  ret i64 %a\ny:\n  ret i64 0\n}")
     check_module(mod)
+    assert construct(mod).validate() == []
 
 
 def test_ret_narrowing_rejected():
