@@ -19,7 +19,7 @@ parameters and results.
 
 from .types import MEM, IO, lift
 from . import ops
-from .graph import Graph
+from .graph import Graph, GraphError
 from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
                      compute_ipg, copy_function, drop_unreachable,
                      result_ty)
@@ -236,14 +236,10 @@ def construct(module):
     g = Graph()
     ipg = compute_ipg(module)
     order_index = {n: i for i, n in enumerate(module.order)}
-
-    def succ_of(n):
-        return ipg.get(n, [])
-
     symtab = {}
-    for scc in tarjan(list(module.order), succ_of):
+    for scc in tarjan(list(module.order), ipg.get):
         scc = sorted(scc, key=lambda n: order_index[n])
-        recursive = len(scc) > 1 or scc[0] in ipg.get(scc[0], [])
+        recursive = len(scc) > 1 or scc[0] in ipg[scc[0]]
         if not recursive:
             _build_single(g, module, ipg, scc[0], symtab)
         else:
@@ -253,7 +249,7 @@ def construct(module):
         g.omega_add_export(name, symtab[name])
     bad = g.validate()
     if bad:
-        raise BuildError("construction left a broken graph: %s" % "; ".join(bad))
+        raise GraphError("construction left a broken graph: %s" % "; ".join(bad))
     return g
 
 
@@ -279,10 +275,6 @@ def _build_single(g, module, ipg, name, symtab):
 
 
 def _build_recursive(g, module, ipg, scc, symtab):
-    for name in scc:
-        if name not in module.functions:
-            raise BuildError("@%s is in a recursive cycle but is not a "
-                             "function" % name)
     phi = g.begin_phi(g.root)
     outer = []
     for name in scc:

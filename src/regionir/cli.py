@@ -1,8 +1,8 @@
 """Command line driver.
 
-Exit codes: 0 success, 1 for parse or validation errors in the input,
-2 when an equivalence check between the source program and the region
-graph fails, 3 when an internal invariant breaks.
+Exit codes: 0 success, 1 for parse or validation errors in the input
+and for usage errors, 2 when an equivalence check between the source
+program and the region graph fails, 3 when an internal invariant breaks.
 """
 
 import argparse
@@ -13,9 +13,10 @@ from .parser import (ParseError, SourceError, parse_file, check_module,
                      print_module)
 from .graph import GraphError
 from .build import BuildError, MEMVAR, IOVAR, construct, prepare_tree
-from .destruct import destruct
+from .destruct import DestructError, destruct
 from .rewrite import RewriteError
 from .restructure import RestructureError
+from .controltree import IrreducibleError
 from .interp import DEFAULT_FUEL, eval_cfg, eval_rvsdg, run_to_outcome
 from .passes import PassConfig, PassError, run_pipeline
 from .passes.pipeline import format_stats, parse_passes
@@ -28,6 +29,20 @@ class EquivalenceError(Exception):
     pass
 
 
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expects a positive integer, got %r"
+                                         % text)
+    return int(text)
+
+
+def _pass_list(text):
+    try:
+        return parse_passes(text.replace(",", " "))
+    except PassError as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
 def _load(path):
     mod = parse_file(path)
     check_module(mod)
@@ -37,11 +52,11 @@ def _load(path):
 def _pass_config(ns):
     cfg = PassConfig(unroll_factor=ns.unroll_factor)
     if ns.passes is not None:
-        cfg.passes = parse_passes(ns.passes.replace(",", " "))
+        cfg.passes = ns.passes
     return cfg
 
 
-def _parse_args_flag(text):
+def _number_list(text):
     if not text:
         return []
     vals = []
@@ -53,7 +68,10 @@ def _parse_args_flag(text):
                 continue
             except ValueError:
                 pass
-        vals.append(int(tok, 0))
+        try:
+            vals.append(int(tok, 0))
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not a number" % tok)
     return vals
 
 
@@ -157,7 +175,11 @@ def cmd_dot(ns, out):
 def cmd_run(ns, out):
     mod = _load(ns.file)
     name = _pick_fn(mod, ns.fn)
-    args = _parse_args_flag(ns.args)
+    args = ns.args
+    n_params = len(mod.functions[name].params)
+    if len(args) != n_params:
+        raise SourceError("@%s takes %d arguments, got %d"
+                          % (name, n_params, len(args)))
     if ns.level != "rvsdg":
         ref = run_to_outcome(lambda: eval_cfg(mod, name, list(args),
                                               fuel=ns.fuel))
@@ -176,7 +198,7 @@ def cmd_run(ns, out):
             _fmt_outcome(ref, sys.stderr)
             _fmt_outcome(got, sys.stderr)
             raise EquivalenceError("cfg and region graph disagree on @%s(%s)"
-                                   % (name, ns.args))
+                                   % (name, ",".join(map(_fmt_value, args))))
         _fmt_outcome(ref, out)
 
 
@@ -215,9 +237,9 @@ def cmd_roundtrip(ns, out):
 def _add_common(p, passes=False, runnable=False):
     p.add_argument("file")
     if passes:
-        p.add_argument("--passes", default=None,
+        p.add_argument("--passes", type=_pass_list, default=None,
                        help="pass names, comma or space separated")
-        p.add_argument("--unroll-factor", type=int, default=4)
+        p.add_argument("--unroll-factor", type=_positive_int, default=4)
     if runnable:
         p.add_argument("--fn", default=None)
         p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
@@ -244,7 +266,7 @@ def build_parser():
                    default="rvsdg")
     p = sub.add_parser("run", help="evaluate a function")
     _add_common(p, passes=True, runnable=True)
-    p.add_argument("--args", default="")
+    p.add_argument("--args", type=_number_list, default="")
     p.add_argument("--level", choices=("rvsdg", "cfg", "both"),
                    default="both")
     p = sub.add_parser("roundtrip",
@@ -268,7 +290,11 @@ COMMANDS = {
 
 
 def main(argv=None, out=None):
-    ns = build_parser().parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which is bad input here
+        return 1 if e.code == 2 else e.code
     out = out or sys.stdout
     try:
         COMMANDS[ns.cmd](ns, out)
@@ -282,7 +308,7 @@ def main(argv=None, out=None):
         sys.stderr.write("equivalence failure: %s\n" % e)
         return 2
     except (GraphError, PassError, RewriteError, RestructureError,
-            AssertionError) as e:
+            DestructError, IrreducibleError, AssertionError) as e:
         sys.stderr.write("internal error: %s\n" % e)
         return 3
     return 0

@@ -72,15 +72,6 @@ def children(tree):
     return []
 
 
-def last_block(tree):
-    """The basic block a subtree hands control off from."""
-    if isinstance(tree, CTBlock):
-        return tree.block
-    if isinstance(tree, CTLinear):
-        return last_block(tree.children[-1])
-    raise IrreducibleError("subtree %r has no unique final block" % tree)
-
-
 def _linear(a, b):
     xs = a.children if isinstance(a, CTLinear) else [a]
     ys = b.children if isinstance(b, CTLinear) else [b]

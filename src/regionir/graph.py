@@ -281,20 +281,9 @@ class Graph:
         return n
 
     def add_ctx(self, node, origin):
-        """Add a context variable to a lambda, delta, or phi node."""
-        if node.n_ctx != len(node.inputs):
-            raise GraphError("context variables must precede other ports")
-        self._add_input(node, origin)
-        arg = node.subregions[0].args
-        if len(arg) != node.n_ctx:
-            raise GraphError("context variables must precede region arguments")
-        node.n_ctx += 1
-        return self._add_arg(node.subregions[0], origin.ty)
-
-    def insert_ctx(self, node, origin):
-        """Add a context variable to a node whose region already has
-        non-context arguments; the new pair slots in after the existing
-        context variables."""
+        """Add a context variable to a lambda, delta, or phi node.  The
+        new input and argument slot in after the existing context
+        variables, ahead of any parameters or recursion variables."""
         use = Use(origin.ty, node.n_ctx, node=node, region=node.region)
         node.inputs.insert(node.n_ctx, use)
         _renumber(node.inputs)
@@ -478,17 +467,19 @@ class Graph:
             raise GraphError("cycle among nodes of region %d" % region.id)
         return order
 
-    def regions(self):
-        """All regions, preorder from the omega region."""
-        stack = [self.root]
+    def regions(self, region=None):
+        """`region` (by default the omega region) and every region nested
+        in it, preorder."""
+        stack = [region or self.root]
         while stack:
             r = stack.pop()
             yield r
             for n in reversed(r.nodes):
                 stack.extend(reversed(n.subregions))
 
-    def all_nodes(self):
-        for r in self.regions():
+    def all_nodes(self, region=None):
+        """The nodes of `region` and of every region nested in it."""
+        for r in self.regions(region):
             yield from r.nodes
 
     # -- validation -------------------------------------------------------
@@ -619,6 +610,14 @@ class Graph:
                 bad.append("omega has ports")
         else:
             bad.append("unknown node kind %s" % n.kind)
+
+
+def holds_loop(node):
+    """Whether running `node` may run a loop: a theta, or a gamma with a
+    theta somewhere in its alternatives.  Such a node must run even when
+    nothing reads its outputs, since the loop may never end."""
+    return node.kind == "theta" or (node.kind == "gamma" and any(
+        holds_loop(n) for sub in node.subregions for n in sub.nodes))
 
 
 def _check_use(use, region, bad):

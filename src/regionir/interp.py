@@ -28,6 +28,7 @@ import weakref
 import zlib
 
 from .types import sizeof
+from .graph import holds_loop
 from .source import (Var, Lit, GlobalRef, Br, Branch, Ret, Phi, CMP,
                      successors)
 
@@ -430,7 +431,7 @@ def _live_slice(region):
     needed = set()
     stack = [r.origin for r in region.results]
     for n in region.nodes:
-        if n.kind == "theta" or (n.kind == "gamma" and _holds_loop(n)):
+        if holds_loop(n):
             needed.add(n.id)
             stack.extend(u.origin for u in n.inputs)
     while stack:
@@ -441,13 +442,6 @@ def _live_slice(region):
         needed.add(p.node.id)
         stack.extend(u.origin for u in p.node.inputs)
     return needed
-
-
-def _holds_loop(gamma):
-    """Whether a theta sits in some alternative of `gamma`, directly
-    or in a nested gamma."""
-    return any(n.kind == "theta" or (n.kind == "gamma" and _holds_loop(n))
-               for sub in gamma.subregions for n in sub.nodes)
 
 
 def _eval_region(machine, graph, region, env):

@@ -21,7 +21,9 @@ gives the port it fills, and a variable or @name there must have it
 The one exception is the branch selector, which may be declared wider
 than its variable: the value is the same, and out-of-range selectors
 take the last target.  A global's initializer runs without the state
-edges, so it may not allocate, load, store or call.
+edges, so it may not allocate, load, store or call.  Only functions may
+reference each other in a cycle: `construct` builds a recursive group as
+a recursion environment of lambdas, so a global in a cycle is an error.
 """
 
 import functools
@@ -31,7 +33,8 @@ from . import ops
 from .types import F64, PTR, intty, fnty, INT_WIDTHS
 from .source import (Module, Function, GlobalVar, Block, Instr, Phi, Br, Branch,
                      Ret, Var, Lit, GlobalRef, ARITH, CMP, validate_cfg,
-                     result_ty)
+                     result_ty, compute_ipg)
+from .restructure import tarjan
 
 
 class ParseError(Exception):
@@ -374,13 +377,20 @@ def check_module(mod):
     bad = []
     for fn in mod.functions.values():
         bad += ["%s: %s" % (fn.name, v)
-                for v in validate_cfg(fn, mod, mode="none")]
+                for v in validate_cfg(fn, mode="none")]
     for g in mod.globals_.values():
         shim = Function(g.name, [], g.ty, blocks=g.blocks)
         bad += ["%s: %s" % (g.name, v)
-                for v in validate_cfg(shim, mod, mode="none")]
+                for v in validate_cfg(shim, mode="none")]
     if bad:
         raise SourceError("; ".join(bad))
+    ipg = compute_ipg(mod)
+    for scc in tarjan(list(mod.order), ipg.get):
+        if len(scc) > 1 or scc[0] in ipg[scc[0]]:
+            for name in scc:
+                if name not in mod.functions:
+                    raise SourceError("@%s is in a recursive cycle but is not "
+                                      "a function" % name)
 
 
 @functools.lru_cache(maxsize=None)

@@ -75,30 +75,25 @@ def _mark(graph, region, uf):
         elif node.kind == "theta":
             _mark_theta(graph, node, uf)
         elif node.kind in ("lambda", "delta", "phi"):
-            _mark_ctx(node, uf)
+            _merge_args(uf, node.inputs[:node.n_ctx], node.subregions)
             _mark(graph, node.subregions[0], uf)
 
 
-def _mark_ctx(node, uf):
-    body = node.subregions[0]
+def _merge_args(uf, uses, regions):
+    """Make argument l of every region in `regions` congruent to the
+    first argument fed by an origin congruent to `uses[l]`'s."""
     seen = {}
-    for l in range(node.n_ctx):
-        rep = uf.find(node.inputs[l].origin)
+    for l, use in enumerate(uses):
+        rep = uf.find(use.origin)
         if rep in seen:
-            uf.union(body.args[seen[rep]], body.args[l])
+            for sub in regions:
+                uf.union(sub.args[seen[rep]], sub.args[l])
         else:
             seen[rep] = l
 
 
 def _mark_gamma(graph, node, uf):
-    seen = {}
-    for l, use in enumerate(node.inputs[1:]):
-        rep = uf.find(use.origin)
-        if rep in seen:
-            for sub in node.subregions:
-                uf.union(sub.args[seen[rep]], sub.args[l])
-        else:
-            seen[rep] = l
+    _merge_args(uf, node.inputs[1:], node.subregions)
     for sub in node.subregions:
         _mark(graph, sub, uf)
     seen = {}

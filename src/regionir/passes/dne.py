@@ -12,10 +12,14 @@ Loops whose outputs are all dead are still executed by the reference
 semantics and may spin forever, so a theta sitting in live code is
 never deleted even when nothing consumes it; its predicate (and
 whatever feeds it) stays demanded.  Code is live when the function
-around it is: a gamma or theta runs whenever its own region does, so
-the gammas around such a theta stay too, with their predicates.
-Thetas inside dead functions go away with the function.
+around it is: a gamma or theta runs whenever its own region does.  So
+when a lambda or delta output is first demanded, the mark pins every
+node of its body that `holds_loop`, with its predicate, and pins the
+same way inside what it pinned.  Thetas inside dead functions go away
+with the function.
 """
+
+from ..graph import holds_loop
 
 
 def run(graph):
@@ -27,7 +31,6 @@ def run(graph):
 
 def mark(graph):
     demanded = set()
-    theta_alive = set()
     kept = set()
     work = []
 
@@ -40,81 +43,54 @@ def mark(graph):
         want(t.inputs[l].origin)
         want(t.subregions[0].results[l + 1].origin)
 
-    def want_theta_pred(t):
-        if t not in theta_alive:
-            theta_alive.add(t)
-            want(t.subregions[0].results[0].origin)
-
-    def drain():
-        while work:
-            p = work.pop()
-            if p.node is None:
-                owner = p.region.owner
-                if owner.kind == "gamma":
-                    want(owner.inputs[p.index + 1].origin)
-                elif owner.kind == "theta":
-                    want_loopvar(owner, p.index)
-                elif owner.kind == "phi":
-                    if p.index < owner.n_ctx:
-                        want(owner.inputs[p.index].origin)
-                    else:
-                        want(p.region.results[p.index - owner.n_ctx].origin)
-                elif owner.kind in ("lambda", "delta"):
-                    if p.index < owner.n_ctx:
-                        want(owner.inputs[p.index].origin)
-                # omega arguments are roots; nothing to chase
-            elif p.node.kind == "simple":
-                for use in p.node.inputs:
-                    want(use.origin)
-            elif p.node.kind == "gamma":
-                want(p.node.inputs[0].origin)
-                for sub in p.node.subregions:
-                    want(sub.results[p.index].origin)
-            elif p.node.kind == "theta":
-                want_theta_pred(p.node)
-                want_loopvar(p.node, p.index)
-            elif p.node.kind == "lambda":
-                for res in p.node.subregions[0].results:
-                    want(res.origin)
-            elif p.node.kind == "delta":
-                want(p.node.subregions[0].results[0].origin)
-            elif p.node.kind == "phi":
-                want(p.node.subregions[0].results[p.index].origin)
-
-    def region_live(region):
-        while region.owner is not None and region.owner.kind != "omega":
-            owner = region.owner
-            if owner.kind not in ("gamma", "theta") and owner not in kept \
-                    and not any(o in demanded for o in owner.outputs):
-                return False
-            region = owner.region
-        return True
-
-    def keep(node):
-        """Pin a theta (and the structure around it) without demanding
-        its outputs."""
-        while node is not None and node not in kept \
-                and node.kind in ("gamma", "theta"):
-            kept.add(node)
-            if node.kind == "theta":
-                want_theta_pred(node)
-            else:
-                want(node.inputs[0].origin)
-            node = node.region.owner
+    def pin(region):
+        """Keep every loop of a live region running, and the gammas
+        around it, with their predicates."""
+        for n in region.nodes:
+            if holds_loop(n):
+                kept.add(n)
+                want(n.subregions[0].results[0].origin if n.kind == "theta"
+                     else n.inputs[0].origin)
+                for sub in n.subregions:
+                    pin(sub)
 
     for res in graph.root.results:
         want(res.origin)
-    drain()
-    while True:
-        stray = [n for n in graph.all_nodes()
-                 if n.kind == "theta" and n not in kept
-                 and not any(o in demanded for o in n.outputs)
-                 and region_live(n.region)]
-        if not stray:
-            return demanded, kept
-        for n in stray:
-            keep(n)
-        drain()
+    while work:
+        p = work.pop()
+        if p.node is None:
+            owner = p.region.owner
+            if owner.kind == "gamma":
+                want(owner.inputs[p.index + 1].origin)
+            elif owner.kind == "theta":
+                want_loopvar(owner, p.index)
+            elif owner.kind == "phi":
+                if p.index < owner.n_ctx:
+                    want(owner.inputs[p.index].origin)
+                else:
+                    want(p.region.results[p.index - owner.n_ctx].origin)
+            elif owner.kind in ("lambda", "delta"):
+                if p.index < owner.n_ctx:
+                    want(owner.inputs[p.index].origin)
+            # omega arguments are roots; nothing to chase
+        elif p.node.kind == "simple":
+            for use in p.node.inputs:
+                want(use.origin)
+        elif p.node.kind == "gamma":
+            want(p.node.inputs[0].origin)
+            for sub in p.node.subregions:
+                want(sub.results[p.index].origin)
+        elif p.node.kind == "theta":
+            want(p.node.subregions[0].results[0].origin)
+            want_loopvar(p.node, p.index)
+        elif p.node.kind in ("lambda", "delta"):
+            body = p.node.subregions[0]
+            for res in body.results:
+                want(res.origin)
+            pin(body)
+        elif p.node.kind == "phi":
+            want(p.node.subregions[0].results[p.index].origin)
+    return demanded, kept
 
 
 def sweep(graph, region, demanded, kept):

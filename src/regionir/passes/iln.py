@@ -11,7 +11,7 @@ Recursive functions live inside a recursion environment node, which the
 resolver treats as opaque, so they are never inlined.
 """
 
-from ..rewrite import copy_nodes, route_to_region
+from ..rewrite import inline_region, route_to_region
 
 SMALL = 16
 
@@ -27,9 +27,13 @@ def run(graph):
     for _, lam in sites:
         callers[lam] = callers.get(lam, 0) + 1
     for node, lam in sites:
-        if callers[lam] == 1 or _size(lam) <= SMALL:
-            if _inlinable(lam) and not _encloses(lam, node):
-                _inline(graph, node, lam)
+        body = list(graph.all_nodes(lam.subregions[0]))
+        small = sum(n.kind == "simple" for n in body) <= SMALL
+        inlinable = lam.region.owner.kind != "phi" and all(
+            n.kind in ("simple", "gamma", "theta") for n in body)
+        if (callers[lam] == 1 or small) and inlinable \
+                and not _encloses(lam, node):
+            _inline(graph, node, lam)
 
 
 def _resolve(graph, port):
@@ -53,31 +57,6 @@ def _resolve(graph, port):
             return None                      # recursion or parameter binding
 
 
-def _size(lam):
-    count = 0
-    stack = [lam.subregions[0]]
-    while stack:
-        region = stack.pop()
-        for n in region.nodes:
-            if n.kind == "simple":
-                count += 1
-            stack.extend(n.subregions)
-    return count
-
-
-def _inlinable(lam):
-    if lam.region.owner is not None and lam.region.owner.kind == "phi":
-        return False
-    stack = [lam.subregions[0]]
-    while stack:
-        region = stack.pop()
-        for n in region.nodes:
-            if n.kind not in ("simple", "gamma", "theta"):
-                return False
-            stack.extend(n.subregions)
-    return True
-
-
 def _encloses(lam, node):
     region = node.region
     while region is not None:
@@ -88,14 +67,10 @@ def _encloses(lam, node):
 
 
 def _inline(graph, site, lam):
-    body = lam.subregions[0]
-    portmap = {}
-    for l in range(lam.n_ctx):
-        portmap[body.args[l]] = route_to_region(
-            graph, lam.inputs[l].origin, site.region)
-    for arg, use in zip(body.args[lam.n_ctx:], site.inputs[1:]):
-        portmap[arg] = use.origin
-    copy_nodes(graph, graph.topological_order(body), site.region, portmap)
-    for out, res in zip(site.outputs, body.results):
-        graph.divert_users(out, portmap[res.origin])
+    args = [route_to_region(graph, use.origin, site.region)
+            for use in lam.inputs[:lam.n_ctx]]
+    args += [use.origin for use in site.inputs[1:]]
+    outs = inline_region(graph, lam.subregions[0], site.region, args)
+    for out, origin in zip(site.outputs, outs):
+        graph.divert_users(out, origin)
     graph.remove_node(site)

@@ -16,7 +16,7 @@ in the epilogue), but always on values the original loop evaluated it
 on, so even a trapping division in the condition behaves identically.
 """
 
-from ..rewrite import copy_nodes
+from ..rewrite import copy_nodes, inline_region
 
 
 def run(graph):
@@ -89,12 +89,9 @@ def _copy_iteration(graph, nodes, gamma, sub_index, dst, portmap):
     alternative."""
     for node in nodes:
         if node is gamma:
-            sub = gamma.subregions[sub_index]
-            for j, use in enumerate(gamma.inputs[1:]):
-                portmap[sub.args[j]] = portmap[use.origin]
-            copy_nodes(graph, graph.topological_order(sub), dst, portmap)
-            for out, res in zip(gamma.outputs, sub.results):
-                portmap[out] = portmap[res.origin]
+            outs = inline_region(graph, gamma.subregions[sub_index], dst,
+                                 [portmap[u.origin] for u in gamma.inputs[1:]])
+            portmap.update(zip(gamma.outputs, outs))
         else:
             copy_nodes(graph, [node], dst, portmap)
     return portmap

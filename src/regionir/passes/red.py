@@ -10,7 +10,7 @@ number of rounds because one reduction routinely enables the next.
 from ..types import ctl
 from ..source import ARITH, CMP
 from ..ops import const
-from ..rewrite import copy_nodes
+from ..rewrite import inline_region
 from ..interp import Trap, eval_binop, eval_neg, coerce_literal
 
 ROUNDS = 4
@@ -127,12 +127,9 @@ def _reduce_gamma(graph, node):
         return False
     if not 0 <= pred < len(node.subregions):
         return False                     # out-of-range predicate traps
-    sub = node.subregions[pred]
-    portmap = {}
-    for l, use in enumerate(node.inputs[1:]):
-        portmap[sub.args[l]] = use.origin
-    copy_nodes(graph, graph.topological_order(sub), node.region, portmap)
-    for l, out in enumerate(node.outputs):
-        graph.divert_users(out, portmap[sub.results[l].origin])
+    outs = inline_region(graph, node.subregions[pred], node.region,
+                         [use.origin for use in node.inputs[1:]])
+    for out, origin in zip(node.outputs, outs):
+        graph.divert_users(out, origin)
     graph.remove_node(node)
     return True

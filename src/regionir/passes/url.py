@@ -21,19 +21,9 @@ def run(graph, factor=4):
     if factor == 1:
         return
     for node in list(graph.all_nodes()):
-        if node.kind == "theta" and _innermost(node):
+        if node.kind == "theta" and not any(
+                n.kind == "theta" for n in graph.all_nodes(node.subregions[0])):
             _unroll(graph, node, factor)
-
-
-def _innermost(node):
-    stack = [node.subregions[0]]
-    while stack:
-        region = stack.pop()
-        for n in region.nodes:
-            if n.kind == "theta":
-                return False
-            stack.extend(n.subregions)
-    return True
 
 
 def _unroll(graph, node, factor):

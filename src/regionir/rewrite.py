@@ -1,7 +1,9 @@
 """Shared rewriting helpers for the optimization passes.
 
 `copy_nodes` clones a set of nodes (simple, gamma, theta) into a target
-region, resolving inputs through a port map; `route_to_region` threads a
+region, resolving inputs through a port map; `inline_region` copies a
+whole region with its arguments bound, the one way a pass inlines a
+gamma alternative, a loop body or a function; `route_to_region` threads a
 port from an enclosing region down into a nested one by growing context
 variables, entry variables, or pass-through loop variables along the way.
 """
@@ -31,33 +33,36 @@ def copy_nodes(graph, nodes, dst, portmap):
     return portmap
 
 
+def inline_region(graph, region, dst, args):
+    """Copy the nodes of `region` into region `dst`, with the region's
+    arguments bound to the ports `args` of `dst`.  Returns the ports of
+    `dst` that the region's results map to."""
+    portmap = dict(zip(region.args, args))
+    copy_nodes(graph, graph.topological_order(region), dst, portmap)
+    return [portmap[res.origin] for res in region.results]
+
+
 def copy_gamma(graph, node, dst, portmap):
-    k = len(node.subregions)
-    n2 = graph.begin_gamma(dst, portmap[node.inputs[0].origin], k)
+    n2 = graph.begin_gamma(dst, portmap[node.inputs[0].origin],
+                           len(node.subregions))
     for use in node.inputs[1:]:
-        args = graph.gamma_add_entry(n2, portmap[use.origin])
-        l = len(n2.inputs) - 2
-        for sub, arg in zip(node.subregions, args):
-            portmap[sub.args[l]] = arg
-    for sub, sub2 in zip(node.subregions, n2.subregions):
-        copy_nodes(graph, graph.topological_order(sub), sub2, portmap)
-    for l, out in enumerate(node.outputs):
-        origins = [portmap[sub.results[l].origin] for sub in node.subregions]
-        portmap[out] = graph.gamma_add_exit(n2, origins)
+        graph.gamma_add_entry(n2, portmap[use.origin])
+    exits = [inline_region(graph, sub, sub2, sub2.args)
+             for sub, sub2 in zip(node.subregions, n2.subregions)]
+    for out, origins in zip(node.outputs, zip(*exits)):
+        portmap[out] = graph.gamma_add_exit(n2, list(origins))
     return n2
 
 
 def copy_theta(graph, node, dst, portmap):
-    body = node.subregions[0]
     n2 = graph.begin_theta(dst)
-    for l, use in enumerate(node.inputs):
-        arg, out = graph.theta_add_loopvar(n2, portmap[use.origin])
-        portmap[body.args[l]] = arg
-        portmap[node.outputs[l]] = out
-    copy_nodes(graph, graph.topological_order(body), n2.subregions[0], portmap)
-    graph.theta_set_predicate(n2, portmap[body.results[0].origin])
-    for l in range(len(node.inputs)):
-        graph.theta_set_result(n2, l, portmap[body.results[l + 1].origin])
+    for use, out in zip(node.inputs, node.outputs):
+        portmap[out] = graph.theta_add_loopvar(n2, portmap[use.origin])[1]
+    body = n2.subregions[0]
+    pred, *results = inline_region(graph, node.subregions[0], body, body.args)
+    graph.theta_set_predicate(n2, pred)
+    for l, origin in enumerate(results):
+        graph.theta_set_result(n2, l, origin)
     return n2
 
 
@@ -77,7 +82,7 @@ def route_to_region(graph, port, region):
     for sub in reversed(path):
         owner = sub.owner
         if owner.kind in ("lambda", "delta", "phi"):
-            cur = graph.insert_ctx(owner, cur)
+            cur = graph.add_ctx(owner, cur)
         elif owner.kind == "gamma":
             args = graph.gamma_add_entry(owner, cur)
             cur = args[sub.owner_index]

@@ -260,7 +260,7 @@ def compute_ipg(module):
 
 # -- CFG validation -------------------------------------------------------
 
-def validate_cfg(fn, module=None, mode="ssa"):
+def validate_cfg(fn, mode="ssa"):
     """Check block/terminator/phi invariants; in ssa mode also single
     assignment and dominance of uses."""
     bad = []

@@ -10,8 +10,10 @@ import io
 
 import pytest
 
-from regionir import cli
-from regionir.graph import GraphError
+from regionir import build, cli
+from regionir.controltree import IrreducibleError
+from regionir.destruct import DestructError
+from regionir.graph import Graph, GraphError
 
 from conftest import corpus_path
 
@@ -84,6 +86,12 @@ ILL_TYPED = {
                            "  store i64 5, %p\n  %v = load i64, %p\n"
                            "  ret i64 %v\n}\n",
                            "initializer of @g uses stateful operation alloca"),
+    "recursive_global.ir": ("global fn(i64) -> i64 @g = {\ne:\n"
+                            "  ret fn(i64) -> i64 @f\n}\n"
+                            "export define i64 @f(i64 %a) {\ne:\n"
+                            "  %p = load fn(i64) -> i64, @g\n"
+                            "  ret i64 %a\n}\n",
+                            "@g is in a recursive cycle but is not a function"),
 }
 
 
@@ -122,13 +130,62 @@ def test_run_detects_divergence(monkeypatch):
     monkeypatch.setattr(cli, "eval_rvsdg", real)
 
 
-def test_internal_invariant_breakage_exits_three(monkeypatch):
-    """[TRIVIAL] A pass that corrupts the graph is reported as an
-    internal error, not as a user mistake."""
-    def boom(graph):
-        raise GraphError("synthetic breakage")
-    monkeypatch.setitem(cli.run_pipeline.__globals__["PASSES"], "DNE", boom)
-    code, _ = run_cli("opt", corpus_path("gcd.ir"), "--passes", "DNE")
+USAGE_ERRORS = {
+    "no_command": [],
+    "no_file": ["run"],
+    "unknown_command": ["bogus", corpus_path("gcd.ir")],
+    "bad_fuel": ["run", corpus_path("gcd.ir"), "--fuel", "abc"],
+    "zero_unroll": ["opt", corpus_path("gcd.ir"), "--unroll-factor", "0"],
+    "unknown_pass": ["opt", corpus_path("gcd.ir"), "--passes", "DNE,FOO"],
+    "bad_args": ["run", corpus_path("gcd.ir"), "--args", "48,abc"],
+    "wrong_arity": ["run", corpus_path("gcd.ir"), "--args", "48"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_one(capsys, name):
+    """[TRIVIAL] A malformed command line is bad input, not a
+    disagreement, and is reported without a traceback."""
+    code, _ = run_cli(*USAGE_ERRORS[name])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_zero():
+    """[TRIVIAL]"""
+    assert run_cli("--help")[0] == 0
+
+
+def _raising(exc):
+    def boom(*args):
+        raise exc("synthetic breakage")
+    return boom
+
+
+# (command line after the file, breakage): each breaks one internal
+# invariant while the command runs on gcd.ir
+BREAKAGES = {
+    "pass": (["opt", "--passes", "DNE"], lambda mp: mp.setitem(
+        cli.run_pipeline.__globals__["PASSES"], "DNE", _raising(GraphError))),
+    "destruct": (["opt"], lambda mp: mp.setattr(
+        cli, "destruct", _raising(DestructError))),
+    "control_tree": (["construct"], lambda mp: mp.setattr(
+        build, "build_control_tree", _raising(IrreducibleError))),
+    "validate": (["construct"], lambda mp: mp.setattr(
+        Graph, "validate", lambda self: ["synthetic breakage"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAKAGES))
+def test_internal_invariant_breakage_exits_three(monkeypatch, name):
+    """[TRIVIAL] A pass that corrupts the graph, a graph `destruct`
+    cannot lower, an irreducible control tree and a graph `construct`
+    leaves broken are reported as internal errors, not as user
+    mistakes."""
+    (cmd, *flags), breakage = BREAKAGES[name]
+    breakage(monkeypatch)
+    code, _ = run_cli(cmd, corpus_path("gcd.ir"), *flags)
     assert code == 3
 
 

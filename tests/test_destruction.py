@@ -22,7 +22,7 @@ def test_roundtrip_output_is_checkable(fixture_name):
     reparsed = parse(print_module(back))
     check_module(reparsed)
     for fn in back.functions.values():
-        assert validate_cfg(fn, back, mode="ssa") == []
+        assert validate_cfg(fn, mode="ssa") == []
 
 
 def test_roundtrip_preserves_behavior(fixture_name):

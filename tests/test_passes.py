@@ -90,13 +90,23 @@ _SPIN_IN_GAMMA = {
     # the same, one gamma further in
     "nested": "e:\n  %c = lt i64 %a, 1\n  branch i1 %c, [%j, %s]\n"
               "s:\n  %d = lt i64 %a, -5\n  branch i1 %d, [%t, %j]\n",
+    # a loop in an outer loop's body, spinning for every %a < 1, whose
+    # counter nothing reads; past the outer loop, %a < -5 skips the
+    # loop at %t, so only this one spins for -9
+    "in_loop": "e:\n  %k = copy i64 0\n  br label %o\n"
+               "o:\n  %d = copy i64 %a\n  br label %s\n"
+               "s:\n  %d = sub i64 %d, 1\n  %g = lt i64 %d, 1\n"
+               "  branch i1 %g, [%x, %s]\n"
+               "x:\n  %k = add i64 %k, 1\n  %m = lt i64 %k, 2\n"
+               "  branch i1 %m, [%y, %o]\n"
+               "y:\n  %c = lt i64 %a, -5\n  branch i1 %c, [%t, %j]\n",
 }
 
 
 @pytest.mark.parametrize("shape", sorted(_SPIN_IN_GAMMA))
 def test_a_loop_in_a_gamma_nobody_reads_still_runs(shape):
-    """[DERIVED] A gamma whose outputs nothing uses still runs when it
-    holds a loop, since the loop may never terminate: the graph spins
+    """[DERIVED] A gamma or a loop whose outputs nothing uses still runs
+    when it holds a loop, since the loop may never terminate: the graph spins
     where the source does after construction, after DNE, and after INV
     and DNE."""
     mod = parse("export define i64 @f(i64 %a) {\n"
