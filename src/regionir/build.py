@@ -23,7 +23,6 @@ from .graph import Graph, GraphError
 from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
                      compute_ipg, copy_function, drop_unreachable,
                      result_ty)
-from .parser import check_module
 from .ssa import destruct_ssa
 from .restructure import restructure, tarjan
 from .controltree import (build_control_tree, annotate, CTBlock, CTLinear,
@@ -231,8 +230,9 @@ def translate_initializer(g, delta, gv, refsyms):
 
 
 def construct(module):
-    """Translate a whole module into a region graph."""
-    check_module(module)
+    """Translate a whole module into a region graph.  The module must
+    have passed `parser.check_module`, as every module `parse` returns
+    has; construction does not check it again."""
     g = Graph()
     ipg = compute_ipg(module)
     order_index = {n: i for i, n in enumerate(module.order)}

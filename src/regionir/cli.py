@@ -43,12 +43,6 @@ def _pass_list(text):
         raise argparse.ArgumentTypeError(str(e))
 
 
-def _load(path):
-    mod = parse_file(path)
-    check_module(mod)
-    return mod
-
-
 def _pass_config(ns):
     cfg = PassConfig(unroll_factor=ns.unroll_factor)
     if ns.passes is not None:
@@ -103,25 +97,25 @@ def _fmt_outcome(outcome, out):
 # -- subcommands ----------------------------------------------------------
 
 def cmd_check(ns, out):
-    mod = _load(ns.file)
+    mod = parse_file(ns.file)
     out.write("ok: %d functions, %d globals, %d externals\n"
               % (len(mod.functions), len(mod.globals_), len(mod.externals)))
 
 
 def cmd_construct(ns, out):
-    g = construct(_load(ns.file))
+    g = construct(parse_file(ns.file))
     out.write(render.dump(g))
 
 
 def cmd_opt(ns, out):
-    mod = _load(ns.file)
+    mod = parse_file(ns.file)
     g = construct(mod)
     run_pipeline(g, _pass_config(ns))
     out.write(print_module(destruct(g)))
 
 
 def cmd_destruct(ns, out):
-    mod = _load(ns.file)
+    mod = parse_file(ns.file)
     g = construct(mod)
     if ns.passes is not None:
         run_pipeline(g, _pass_config(ns))
@@ -129,7 +123,7 @@ def cmd_destruct(ns, out):
 
 
 def cmd_stats(ns, out):
-    mod = _load(ns.file)
+    mod = parse_file(ns.file)
     n_instrs = sum(len(b.phis) + len(b.instrs) + 1
                    for fn in mod.functions.values() for b in fn.blocks)
     g = construct(mod)
@@ -158,7 +152,7 @@ def cmd_stats(ns, out):
 
 
 def cmd_dot(ns, out):
-    mod = _load(ns.file)
+    mod = parse_file(ns.file)
     if ns.level == "cfg":
         out.write(render.dot_cfg(mod))
     elif ns.level == "tree":
@@ -173,7 +167,7 @@ def cmd_dot(ns, out):
 
 
 def cmd_run(ns, out):
-    mod = _load(ns.file)
+    mod = parse_file(ns.file)
     name = _pick_fn(mod, ns.fn)
     args = ns.args
     n_params = len(mod.functions[name].params)
@@ -203,7 +197,7 @@ def cmd_run(ns, out):
 
 
 def cmd_roundtrip(ns, out):
-    mod = _load(ns.file)
+    mod = parse_file(ns.file)
     g = construct(mod)
     if ns.passes is not None:
         run_pipeline(g, _pass_config(ns))
@@ -272,7 +266,7 @@ def build_parser():
     p = sub.add_parser("roundtrip",
                        help="check source and graph agree on random inputs")
     _add_common(p, passes=True, runnable=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     return ap
 

@@ -6,11 +6,11 @@ behavior for equivalent programs: the returned values plus a trace of
 loads, stores, and external calls.  That pair is the oracle the test
 suite compares across construction, optimization, and destruction.
 
-Integer arithmetic wraps in two's complement at the operand width.
-Division truncates toward zero and traps on a zero divisor.  Shifts use
-the shift amount modulo the width; right shift is arithmetic.  A branch
-or match selector outside the covered range takes the last alternative
-(the default case).
+What each pure operation computes -- arithmetic, comparison, `neg`
+and `gep`, with their wrapping and trapping rules -- is read from the
+one table `ops.SEMANTICS`; this module adds control, calls, memory and
+the state tokens.  A branch or match selector outside the covered range
+takes the last alternative (the default case).
 
 One graph step, one unit of fuel, is one live node evaluated or one
 theta iteration.  Defining the functions and globals of the omega
@@ -29,8 +29,9 @@ import zlib
 
 from .types import sizeof
 from .graph import holds_loop
-from .source import (Var, Lit, GlobalRef, Br, Branch, Ret, Phi, CMP,
-                     successors)
+from .ops import (MIXED_OPERANDS, SEMANTICS, Trap, coerce_literal,
+                  operand_types)
+from .source import Var, Lit, GlobalRef, Br, Branch, Ret, Phi, successors
 
 DEFAULT_FUEL = 10 ** 7
 
@@ -40,12 +41,6 @@ _GLOBAL_BASE = 1 << 32
 # state tokens; they thread through the graph but carry no data
 MEM_TOKEN = "mem"
 IO_TOKEN = "io"
-
-
-class Trap(Exception):
-    def __init__(self, kind, detail=""):
-        super().__init__("%s%s" % (kind, ": " + detail if detail else ""))
-        self.kind = kind
 
 
 class FnValue:
@@ -143,93 +138,6 @@ class Machine:
         return [zero_value(t) for t in result_tys]
 
 
-# -- scalar semantics -----------------------------------------------------
-
-def wrap_int(v, width):
-    if width == 1:
-        return v & 1
-    m = 1 << width
-    v &= m - 1
-    if v >= m >> 1:
-        v -= m
-    return v
-
-
-def _idiv(a, b):
-    if b == 0:
-        raise Trap("div0", "division by zero")
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
-def eval_binop(op, ty, a, b):
-    if ty.kind == "f64":
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            if b == 0.0:
-                return float("inf") if a > 0 else float("-inf") if a < 0 \
-                    else float("nan")
-            return a / b
-        if op in CMP:
-            return _cmp(op, a, b)
-        raise Trap("type", "operation %s on f64" % op)
-    w = ty.width
-    if op == "add":
-        return wrap_int(a + b, w)
-    if op == "sub":
-        return wrap_int(a - b, w)
-    if op == "mul":
-        return wrap_int(a * b, w)
-    if op == "div":
-        return wrap_int(_idiv(a, b), w)
-    if op == "rem":
-        return wrap_int(a - _idiv(a, b) * b, w)
-    if op == "shl":
-        return wrap_int(a << (b % w), w)
-    if op == "shr":
-        return wrap_int(a >> (b % w), w)
-    if op == "and":
-        return wrap_int(a & b, w)
-    if op == "or":
-        return wrap_int(a | b, w)
-    if op == "xor":
-        return wrap_int(a ^ b, w)
-    if op in CMP:
-        return _cmp(op, a, b)
-    raise Trap("type", "unknown operation %s" % op)
-
-
-def eval_neg(ty, v):
-    return -v if ty.kind == "f64" else wrap_int(-v, ty.width)
-
-
-def _cmp(op, a, b):
-    if op == "eq":
-        return int(a == b)
-    if op == "ne":
-        return int(a != b)
-    if op == "lt":
-        return int(a < b)
-    if op == "le":
-        return int(a <= b)
-    if op == "gt":
-        return int(a > b)
-    return int(a >= b)
-
-
-def coerce_literal(value, ty):
-    if ty.kind == "f64":
-        return float(value)
-    if ty.kind == "int":
-        return wrap_int(int(value), ty.width)
-    return value
-
-
 # -- CFG interpreter ------------------------------------------------------
 
 def eval_cfg(module, fn_name, args, fuel=DEFAULT_FUEL, externals=None,
@@ -320,23 +228,29 @@ def _exec_instr(module, machine, env, i):
         if i.dest is not None:
             env[i.dest] = rets[0]
         return
-    vals = [_operand(module, env, o, i.ty) for o in i.operands]
+    ty = i.ty
     if op == "copy":
-        env[i.dest] = vals[0]
-    elif op == "undef":
-        env[i.dest] = zero_value(i.ty)
-    elif op == "neg":
-        env[i.dest] = eval_neg(i.ty, vals[0])
+        env[i.dest] = _operand(module, env, i.operands[0], ty)
+        return
+    # a literal takes the type of its position, as in construction
+    if op in MIXED_OPERANDS:
+        vals = [_operand(module, env, o, t)
+                for o, t in zip(i.operands, operand_types(op, ty))]
+    else:
+        vals = [env[o.name] if o.__class__ is Var else
+                _operand(module, env, o, ty) for o in i.operands]
+    if op == "undef":
+        env[i.dest] = zero_value(ty)
     elif op == "alloca":
-        env[i.dest] = machine.alloca(i.ty)
+        env[i.dest] = machine.alloca(ty)
     elif op == "load":
         env[i.dest] = machine.load(vals[0])
     elif op == "store":
         machine.store(vals[1], vals[0])
-    elif op == "gep":
-        env[i.dest] = vals[0] + int(vals[1]) * sizeof(i.ty)
+    elif len(vals) == 2:
+        env[i.dest] = SEMANTICS[op, ty.kind](ty, vals[0], vals[1])
     else:
-        env[i.dest] = eval_binop(op, i.ty, vals[0], vals[1])
+        env[i.dest] = SEMANTICS[op, ty.kind](ty, vals[0])
 
 
 def _dispatch_call(module, machine, callee, args, result_tys):
@@ -528,8 +442,9 @@ def _eval_node(machine, graph, node, env):
 
 
 def _simple_step(node):
-    """A simple node's step, with its input origins, output ports and
-    constant operands resolved once."""
+    """A simple node's step, with its input origins, output ports,
+    constant operands and, for a pure operation, its `ops.SEMANTICS`
+    function resolved once."""
     op = node.op
     n, ty = op.name, op.ty
     ins = tuple(u.origin for u in node.inputs)
@@ -547,11 +462,6 @@ def _simple_step(node):
 
         def step(machine, graph, env):
             env[o] = cases.get(env[a], default)
-    elif n == "neg":
-        (a,), (o,) = ins, outs
-
-        def step(machine, graph, env):
-            env[o] = eval_neg(ty, env[a])
     elif n == "alloca":
         o, m = outs
 
@@ -570,12 +480,6 @@ def _simple_step(node):
         def step(machine, graph, env):
             machine.store(env[a], env[v])
             env[o] = MEM_TOKEN
-    elif n == "gep":
-        (a, i), (o,) = ins, outs
-        size = sizeof(ty)
-
-        def step(machine, graph, env):
-            env[o] = env[a] + env[i] * size
     elif n == "apply":
         f, params = ins[0], ins[1:]
 
@@ -590,11 +494,18 @@ def _simple_step(node):
                 rets = call_value(machine, fv, vals)
             for port, v in zip(outs, rets):
                 env[port] = v
+    elif len(ins) == 1:
+        f = SEMANTICS[n, ty.kind]
+        (a,), (o,) = ins, outs
+
+        def step(machine, graph, env):
+            env[o] = f(ty, env[a])
     else:
+        f = SEMANTICS[n, ty.kind]
         (a, b), (o,) = ins, outs
 
         def step(machine, graph, env):
-            env[o] = eval_binop(n, ty, env[a], env[b])
+            env[o] = f(ty, env[a], env[b])
     return step
 
 

@@ -1,15 +1,110 @@
-"""Simple-node operations and their signatures."""
+"""Simple-node operations, their signatures, and what each pure
+operation computes.
 
+`SEMANTICS` is the one table of pure operations: each entry, keyed by
+operation name and operand kind, is the function from the operation's
+type and operand values to its result.  Both interpreters evaluate and
+RED folds through it, and `SimpleOp.signature` accepts exactly the
+(operation, type) pairs it holds, so the checker rejects every other.
+
+Integer arithmetic wraps in two's complement at the operand width.
+Division truncates toward zero and traps on a zero divisor; f64
+division by zero gives +inf, -inf or nan by the sign of the dividend.
+Shifts use the shift amount modulo the width; right shift is
+arithmetic.  A comparison yields the i1 0 or 1.
+"""
+
+import functools
 from dataclasses import dataclass, field
 
-from .types import Ty, I1, I64, PTR, MEM, IO, ctl
-from .source import ARITH, CMP
+from .types import Ty, I1, I64, PTR, MEM, ctl, sizeof
+from .source import CMP
 
 COMMUTATIVE = frozenset(("add", "mul", "and", "or", "xor", "eq", "ne"))
 
 # Operations that can neither trap nor touch state; safe to speculate.
 _STATEFUL = frozenset(("alloca", "load", "store", "apply"))
 _TRAPPING = frozenset(("div", "rem"))
+# Operations with an operand of another type than their own: a literal
+# there takes the type `operand_types` gives its position.
+MIXED_OPERANDS = frozenset(("gep", "load", "store"))
+
+
+class Trap(Exception):
+    def __init__(self, kind, detail=""):
+        super().__init__("%s%s" % (kind, ": " + detail if detail else ""))
+        self.kind = kind
+
+
+def wrap_int(v, width):
+    if width == 1:
+        return v & 1
+    m = 1 << width
+    v &= m - 1
+    if v >= m >> 1:
+        v -= m
+    return v
+
+
+def coerce_literal(value, ty):
+    if ty.kind == "f64":
+        return float(value)
+    if ty.kind == "int":
+        return wrap_int(int(value), ty.width)
+    return value
+
+
+def _idiv(a, b):
+    if b == 0:
+        raise Trap("div0", "division by zero")
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+def _fdiv(t, a, b):
+    if b == 0.0:
+        return float("inf") if a > 0 else float("-inf") if a < 0 \
+            else float("nan")
+    return a / b
+
+
+def _gep(t, p, i):
+    return p + i * sizeof(t)
+
+
+_COMPARE = {
+    "eq": lambda t, a, b: int(a == b),
+    "ne": lambda t, a, b: int(a != b),
+    "lt": lambda t, a, b: int(a < b),
+    "le": lambda t, a, b: int(a <= b),
+    "gt": lambda t, a, b: int(a > b),
+    "ge": lambda t, a, b: int(a >= b),
+}
+
+# (operation, operand kind) -> f(ty, *operands), ty the operation's type
+SEMANTICS = {
+    ("add", "int"): lambda t, a, b: wrap_int(a + b, t.width),
+    ("sub", "int"): lambda t, a, b: wrap_int(a - b, t.width),
+    ("mul", "int"): lambda t, a, b: wrap_int(a * b, t.width),
+    ("div", "int"): lambda t, a, b: wrap_int(_idiv(a, b), t.width),
+    ("rem", "int"): lambda t, a, b: wrap_int(a - _idiv(a, b) * b, t.width),
+    ("shl", "int"): lambda t, a, b: wrap_int(a << (b % t.width), t.width),
+    ("shr", "int"): lambda t, a, b: wrap_int(a >> (b % t.width), t.width),
+    ("and", "int"): lambda t, a, b: wrap_int(a & b, t.width),
+    ("or", "int"): lambda t, a, b: wrap_int(a | b, t.width),
+    ("xor", "int"): lambda t, a, b: wrap_int(a ^ b, t.width),
+    ("neg", "int"): lambda t, a: wrap_int(-a, t.width),
+    ("add", "f64"): lambda t, a, b: a + b,
+    ("sub", "f64"): lambda t, a, b: a - b,
+    ("mul", "f64"): lambda t, a, b: a * b,
+    ("div", "f64"): _fdiv,
+    ("neg", "f64"): lambda t, a: -a,
+    **{(n, kind): f for n, f in _COMPARE.items()
+       for kind in ("int", "f64", "ptr")},
+    ("eq", "fn"): _COMPARE["eq"],
+    ("ne", "fn"): _COMPARE["ne"],
+    **{("gep", kind): _gep for kind in ("int", "f64", "ptr", "fn")},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +153,17 @@ class SimpleOp:
         return self.name in COMMUTATIVE
 
     def signature(self):
-        """(input types, output types) of any node carrying this op."""
+        """(input types, output types) of any node carrying this op.
+        A pure operation has one only on the types `SEMANTICS` holds."""
         n, t = self.name, self.ty
-        if n in ARITH:
+        if (n, t.kind) in SEMANTICS:
+            if n in CMP:
+                return (t, t), (I1,)
+            if n == "neg":
+                return (t,), (t,)
+            if n == "gep":
+                return (PTR, I64), (PTR,)
             return (t, t), (t,)
-        if n in CMP:
-            return (t, t), (I1,)
-        if n == "neg":
-            return (t,), (t,)
         if n in ("const", "undef"):
             return (), (t,)
         if n == "match":
@@ -76,11 +174,9 @@ class SimpleOp:
             return (PTR, MEM), (t, MEM)
         if n == "store":
             return (PTR, t, MEM), (MEM,)
-        if n == "gep":
-            return (PTR, I64), (PTR,)
         if n == "apply":
             return (t,) + t.params, t.results
-        raise ValueError("unknown operation %r" % n)
+        raise ValueError("%s is not defined on %s" % (n, t))
 
     def select(self, key):
         """The case a match picks for `key`: the first table entry for
@@ -134,3 +230,12 @@ def node_order(name, operands):
         value, ptr = operands
         return [ptr, value]
     return list(operands)
+
+
+@functools.lru_cache(maxsize=None)
+def operand_types(name, ty):
+    """The types of a simple instruction's operands, in its operand
+    order: its node's value inputs by `SimpleOp.signature`, put back by
+    `node_order`.  Raises ValueError as the signature does."""
+    ins = SimpleOp(name, ty).signature()[0]
+    return tuple(node_order(name, [t for t in ins if t.is_value]))

@@ -10,7 +10,8 @@ gives the port it fills, and a variable or @name there must have it
 (a literal takes it):
 
 - a simple instruction's operand: its node's input by
-  `SimpleOp.signature`, put in operand order by `ops.node_order`;
+  `SimpleOp.signature`, put in operand order by `ops.node_order`; an
+  operation the signature does not define on its type is an error;
 - a phi entry: the phi's type;
 - copy and ret: the declared type, and a ret declares its function's
   result type (its global's, in an initializer);
@@ -26,7 +27,6 @@ reference each other in a cycle: `construct` builds a recursive group as
 a recursion environment of lambdas, so a global in a cycle is an error.
 """
 
-import functools
 import re
 
 from . import ops
@@ -393,15 +393,6 @@ def check_module(mod):
                                       "a function" % name)
 
 
-@functools.lru_cache(maxsize=None)
-def _simple_operand_types(op, ty):
-    """The types `construct` gives the operands of a simple instruction:
-    its node's value inputs by `SimpleOp.signature`, put back into the
-    instruction's order."""
-    ins = ops.SimpleOp(op, ty).signature()[0]
-    return tuple(ops.node_order(op, [t for t in ins if t.is_value]))
-
-
 def _check_body(mod, ent):
     """The typing rule of the module docstring, on one body."""
     where = ent.name
@@ -457,7 +448,11 @@ def _check_body(mod, ent):
                                       % (where, i.callee, declared, fty))
                 tys = i.arg_tys
             else:
-                tys = _simple_operand_types(i.op, i.ty)
+                try:
+                    tys = ops.operand_types(i.op, i.ty)
+                except ValueError:
+                    raise SourceError("%s: %%%s = %s is not defined on %s"
+                                      % (where, i.dest, i.op, i.ty))
             for o, ty in zip(i.operands, tys):
                 expect(o, ty, i)
         t = b.term

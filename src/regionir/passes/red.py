@@ -1,17 +1,16 @@
 """Local reductions: constant folding and algebraic simplification.
 
-Folds arithmetic, comparisons, negation, and match tables whose inputs
-are constants, applies the usual identities (x+0, x*1, x*0, x-x and
-friends), and inlines the selected alternative of a gamma whose
-predicate is a constant.  The whole graph is rescanned for a bounded
-number of rounds because one reduction routinely enables the next.
+Folds every pure operation whose inputs are all constants, through its
+`ops.SEMANTICS` function, and every match with a constant input;
+applies the usual identities (x+0, x*1, x*0, x-x and friends), and
+inlines the selected alternative of a gamma whose predicate is a
+constant.  The whole graph is rescanned for a bounded number of rounds
+because one reduction routinely enables the next.
 """
 
-from ..types import ctl
-from ..source import ARITH, CMP
-from ..ops import const
+from ..source import ARITH
+from ..ops import SEMANTICS, Trap, coerce_literal, const
 from ..rewrite import inline_region
-from ..interp import Trap, eval_binop, eval_neg, coerce_literal
 
 ROUNDS = 4
 
@@ -61,32 +60,20 @@ def _replace_with(graph, node, origin):
 def _reduce_simple(graph, node):
     op = node.op
     n = op.name
-    if not node.outputs or not node.outputs[0].users:
+    if op.is_stateful or not node.inputs or not node.outputs[0].users:
         return False
     vals = [_const_of(u.origin) for u in node.inputs]
-
-    if n == "neg" and vals[0] is not None:
-        return _replace_with_const(graph, node, eval_neg(op.ty, vals[0]),
-                                   op.ty)
-
-    if n == "match" and vals[0] is not None:
-        return _replace_with_const(graph, node, op.select(vals[0]),
-                                   ctl(op.k))
-
-    if n not in ARITH and n not in CMP:
-        return False
-
-    a, b = vals
-    if a is not None and b is not None:
+    if None not in vals:
         try:
-            v = eval_binop(n, op.ty, a, b)
+            v = op.select(vals[0]) if n == "match" else \
+                SEMANTICS[n, op.ty.kind](op.ty, *vals)
         except Trap:
             return False
-        out_ty = node.outputs[0].ty
-        return _replace_with_const(graph, node, v, out_ty)
+        return _replace_with_const(graph, node, v, node.outputs[0].ty)
 
-    if op.ty.kind != "int":
+    if n not in ARITH or op.ty.kind != "int":
         return False
+    a, b = vals
     x0, x1 = node.inputs[0].origin, node.inputs[1].origin
     if n == "add":
         if b == 0:

@@ -37,7 +37,6 @@ class GlobalRef:
 
 
 ARITH = ("add", "sub", "mul", "div", "rem", "shl", "shr", "and", "or", "xor")
-FLOAT_ARITH = ("add", "sub", "mul", "div")
 CMP = ("eq", "ne", "lt", "le", "gt", "ge")
 
 

@@ -61,8 +61,12 @@ def test_check_rejects_widening_ret(tmp_path):
 # Programs that the checker rejects, each with the position it names.
 # Construction types every operand by its position, so each would
 # otherwise fail in `construct` or, for ret.ir, build an i8 function.
+# An operation on a type `ops.SEMANTICS` does not define it on would
+# reach an interpreter: a TypeError, a wrong value or a `type` trap.
 _GLOBAL = "global i64 @g = {\ne:\n  ret i64 5\n}\n"
 _LT = "export define i64 @f(i64 %a) {\ne:\n  %c = lt i64 %a, 0\n"
+_F = "export define i64 @f(i64 %a) {\ne:\n"
+_FF = "export define f64 @f(f64 %a) {\ne:\n"
 ILL_TYPED = {
     "phi.ir": (_LT + "  branch i1 %c, [%l, %r]\nl:\n  br label %j\n"
                "r:\n  br label %j\nj:\n  %w = phi i64 [%c, %l], [7, %r]\n"
@@ -92,19 +96,31 @@ ILL_TYPED = {
                             "  %p = load fn(i64) -> i64, @g\n"
                             "  ret i64 %a\n}\n",
                             "@g is in a recursive cycle but is not a function"),
+    "lt_fn.ir": (_F + "  %c = lt fn(i64) -> i64 @f, @f\n  ret i64 %a\n}\n",
+                 "f: %c = lt is not defined on fn(i64) -> i64"),
+    "add_ptr.ir": (_GLOBAL + _F + "  %p = add ptr @g, @g\n  ret i64 %a\n}\n",
+                   "f: %p = add is not defined on ptr"),
+    "neg_ptr.ir": (_GLOBAL + _F + "  %p = neg ptr @g\n  ret i64 %a\n}\n",
+                   "f: %p = neg is not defined on ptr"),
+    "rem_f64.ir": (_FF + "  %r = rem f64 %a, 2.0\n  ret f64 %r\n}\n",
+                   "f: %r = rem is not defined on f64"),
+    "shl_f64.ir": (_FF + "  %r = shl f64 %a, 2.0\n  ret f64 %r\n}\n",
+                   "f: %r = shl is not defined on f64"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ILL_TYPED))
 def test_check_rejects_ill_typed_operands(tmp_path, capsys, name):
     """[DERIVED] `check` exits 1 on an operand whose type is not the
-    one its position expects, and names the position."""
+    one its position expects, or an operation on a type it is not
+    defined on, and names the position without a traceback."""
     text, message = ILL_TYPED[name]
     p = tmp_path / name
     p.write_text(text)
     code, _ = run_cli("check", str(p))
     assert code == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_missing_file_exits_one():
@@ -136,6 +152,7 @@ USAGE_ERRORS = {
     "unknown_command": ["bogus", corpus_path("gcd.ir")],
     "bad_fuel": ["run", corpus_path("gcd.ir"), "--fuel", "abc"],
     "zero_unroll": ["opt", corpus_path("gcd.ir"), "--unroll-factor", "0"],
+    "zero_samples": ["roundtrip", corpus_path("gcd.ir"), "--samples", "0"],
     "unknown_pass": ["opt", corpus_path("gcd.ir"), "--passes", "DNE,FOO"],
     "bad_args": ["run", corpus_path("gcd.ir"), "--args", "48,abc"],
     "wrong_arity": ["run", corpus_path("gcd.ir"), "--args", "48"],

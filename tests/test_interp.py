@@ -9,16 +9,20 @@ before region plans were cached, and must not drift.
 import gc
 import weakref
 
+import pytest
+
 from regionir.parser import parse, check_module
 from regionir.build import construct
 from regionir.graph import Graph
 from regionir.interp import (DEFAULT_FUEL, Machine, eval_cfg, eval_rvsdg,
                              run_to_outcome)
-from regionir.ops import binop, const
+from regionir.ops import binop, coerce_literal, const
+from regionir.passes import dne, red
 from regionir.passes.pipeline import PASSES
+from regionir.source import CMP
 from regionir.types import I64
 
-from conftest import load_corpus, outcome_cfg, outcome_rvsdg
+from conftest import bits, load_corpus, outcome_cfg, outcome_rvsdg
 
 
 def _both(src, name, args, fuel=10 ** 7, externals=None):
@@ -98,6 +102,89 @@ def test_shift_amounts_are_masked():
            "e:\n  %q = shl i64 %a, %b\n  ret i64 %q\n}")
     assert _both(src, "s", [1, 64]) == ("ok", [1], [])
     assert _both(src, "s", [1, 65]) == ("ok", [2], [])
+
+
+INF, NAN = float("inf"), float("nan")
+_FN = "fn(i64) -> i64"
+
+# (operation, type, literal operands, result or ("trap", kind))
+SEMANTICS_CASES = [
+    # i8 and i1 wrap around
+    ("add", "i8", ("100", "100"), -56),
+    ("sub", "i8", ("-128", "1"), 127),
+    ("mul", "i8", ("16", "16"), 0),
+    ("neg", "i8", ("-128",), -128),
+    ("xor", "i8", ("-1", "127"), -128),
+    ("add", "i1", ("1", "1"), 0),
+    # division truncates toward zero, the remainder takes the sign of
+    # the dividend, and a zero divisor traps
+    ("div", "i64", ("-7", "2"), -3),
+    ("div", "i64", ("7", "-2"), -3),
+    ("div", "i64", ("-7", "-2"), 3),
+    ("rem", "i64", ("-7", "2"), -1),
+    ("rem", "i64", ("7", "-2"), 1),
+    ("rem", "i64", ("-7", "-2"), -1),
+    ("div", "i8", ("-128", "-1"), -128),
+    ("div", "i64", ("7", "0"), ("trap", "div0")),
+    ("rem", "i64", ("7", "0"), ("trap", "div0")),
+    # shift amounts are taken modulo the width; shr is arithmetic
+    ("shl", "i64", ("1", "64"), 1),
+    ("shl", "i64", ("1", "65"), 2),
+    ("shl", "i32", ("3", "-1"), -2147483648),
+    ("shr", "i8", ("-128", "9"), -64),
+    ("shr", "i64", ("-1", "63"), -1),
+    # f64 division by zero: the dividend's sign picks +inf, -inf or nan
+    ("div", "f64", ("1.0", "0.0"), INF),
+    ("div", "f64", ("1.0", "-0.0"), INF),
+    ("div", "f64", ("-1.0", "0.0"), -INF),
+    ("div", "f64", ("-1.0", "-0.0"), -INF),
+    ("div", "f64", ("0.0", "0.0"), NAN),
+    ("div", "f64", ("0.0", "-0.0"), NAN),
+    ("neg", "f64", ("0.0",), -0.0),
+    # comparisons on f64, ptr and fn yield the i1 0 or 1
+    ("lt", "f64", ("-0.0", "0.0"), 0),
+    ("eq", "f64", ("-0.0", "0.0"), 1),
+    ("ge", "f64", ("1.0", "2.5"), 0),
+    ("lt", "ptr", ("5", "7"), 1),
+    ("ge", "ptr", ("5", "7"), 0),
+    ("eq", "ptr", ("8", "8"), 1),
+    ("eq", _FN, ("@f", "@f"), 1),
+    ("eq", _FN, ("@f", "@h"), 0),
+    ("ne", _FN, ("@f", "@h"), 1),
+    # gep scales the index by the element size; its literals are a ptr
+    # and an i64 whatever the element type
+    ("gep", "i32", ("1000", "3"), 1012),
+    ("gep", "f64", ("1000", "2"), 1016),
+    ("gep", "i8", ("1000", "300"), 1300),
+]
+
+
+@pytest.mark.parametrize("op,ty,operands,want", SEMANTICS_CASES)
+def test_semantics_table(op, ty, operands, want):
+    """[DERIVED] Each pure operation computes the hand-derived value in
+    both interpreters, and RED folds it (DNE then drops the operation)
+    to a const carrying that value -- or leaves it when it traps.
+    Function values have no literal, so an fn comparison is evaluated
+    but has nothing for RED to fold."""
+    rty = "i1" if op in CMP else "ptr" if op == "gep" else ty
+    mod = parse("export define %s @k() {\ne:\n  %%r = %s %s %s\n"
+                "  ret %s %%r\n}\n"
+                "define i64 @f(i64 %%a) {\ne:\n  ret i64 %%a\n}\n"
+                "define i64 @h(i64 %%a) {\ne:\n  ret i64 %%a\n}\n"
+                % (rty, op, ty, ", ".join(operands), rty))
+    g = construct(mod)
+    outcome = want if isinstance(want, tuple) else ("ok", [want], [])
+    assert bits(outcome_cfg(mod, "k", ())) == bits(outcome)
+    assert bits(outcome_rvsdg(g, "k", ())) == bits(outcome)
+    red.run(g)
+    dne.run(g)
+    body = g.export_origin("k").node.subregions[0]
+    node = body.results[0].origin.node
+    if isinstance(want, tuple) or operands[0].startswith("@"):
+        assert node.op.name == op
+    else:
+        assert [n.op.name for n in body.nodes] == ["const"]
+        assert bits(coerce_literal(node.op.value, node.op.ty)) == bits(want)
 
 
 def test_fuel_exhaustion_traps():

@@ -64,6 +64,7 @@ def sweep_one(mod, schedule):
         return "exported types %s, not %s" % (back.export_types(),
                                               mod.export_types()), False
     second = destruct(again)
+    check_module(second)
     third = destruct(construct(second))
     return None, canonical(third) == canonical(second)
 
