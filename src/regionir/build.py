@@ -21,8 +21,7 @@ from .types import MEM, IO, lift
 from . import ops
 from .graph import Graph, GraphError
 from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
-                     compute_ipg, copy_function, drop_unreachable,
-                     result_ty)
+                     compute_ipg, copy_function, drop_unreachable)
 from .ssa import destruct_ssa
 from .restructure import restructure, tarjan
 from .controltree import (build_control_tree, annotate, CTBlock, CTLinear,
@@ -38,7 +37,7 @@ def _vartys_of(fn):
     for b in fn.blocks:
         for i in b.instrs:
             if i.dest is not None:
-                tys[i.dest] = lift(result_ty(i))
+                tys[i.dest] = lift(ops.result_type(i.op, i.ty))
     return tys
 
 

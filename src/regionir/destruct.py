@@ -3,29 +3,44 @@
 The omega region is walked in topological order: lambdas become
 functions, deltas become globals with initializer bodies, and the
 lambdas inside a phi become mutually recursive functions.  Inside each
-body, structured control flow is reconstructed directly: a gamma
-becomes a k-way branch whose alternatives rejoin through exit-variable
-copies, a theta becomes a do-while whose latch reassigns the loop
-variables with a sequentialized parallel copy.  State-typed ports
+body, structured control flow is reconstructed directly, in SSA form,
+because the region structure fixes every merge point: a gamma becomes a
+k-way branch whose alternatives rejoin in a block with one phi per used
+exit, and a theta becomes a do-while whose header holds one phi per
+loop variable that the body reads and may change.  State-typed ports
 vanish; the instruction order of the emitted blocks preserves the
 state edge order because emission follows a topological order.
 A match is elided into the branch that consumes it, so a ctl-typed
 gamma exit or theta loop variable carries the selector itself, and is
 declared at that selector's type for `construct` to match it again.
-
-The blocks come out in non-SSA form and are put back into SSA by the
-standard reconstruction before the module is returned.
 """
 
 from .types import I64, lower
-from .source import (Module, Function, GlobalVar, Block, Instr, Br, Branch,
-                     Ret, Var, Lit, GlobalRef)
-from .ssa import NameGen, construct_ssa, sequence_parallel_copies
+from .source import (Module, Function, GlobalVar, Block, Instr, Phi, Br,
+                     Branch, Ret, Var, Lit, GlobalRef)
+from .ssa import NameGen
 from .ops import node_order
 
 
 class DestructError(Exception):
     pass
+
+
+def _is_used(port):
+    """Whether an emitted instruction or terminator, or a region result,
+    uses `port`'s value.  A match and a gamma entry pass the value on
+    without an instruction, so they use it only where their output or
+    an alternative's argument is used."""
+    for use in port.users:
+        node = use.node
+        if node is not None and node.kind == "gamma" and use.index > 0:
+            if any(_is_used(sub.args[use.index - 1])
+                   for sub in node.subregions):
+                return True
+        elif node is None or node.kind != "simple" \
+                or node.op.name != "match" or _is_used(node.outputs[0]):
+            return True
+    return False
 
 
 class _Lowerer:
@@ -42,11 +57,15 @@ class _Lowerer:
         self.blocks.append(b)
         return b
 
-    def emit(self, instr):
-        self.cur.instrs.append(instr)
-
-    def operand(self, env, use):
-        return env[use.origin]
+    def phis(self, ports):
+        """Empty phis for `ports`, named so that their names sort as
+        strings in the order of `ports`.  `construct` orders a gamma's
+        exits and a theta's loop variables by name, so the next round
+        trip emits them in this order again."""
+        count = self.names.count
+        if len(str(count)) < len(str(count + len(ports) - 1)):
+            self.names.count = 10 ** len(str(count))
+        return [Phi(self.names.fresh("v"), self.var_ty(p), []) for p in ports]
 
     def var_ty(self, port):
         """The source type of a variable holding `port`'s value.  A ctl
@@ -80,8 +99,8 @@ class _Lowerer:
         return tys.pop() if tys else I64
 
     def run(self, region, env, ret_ty):
-        results = self.lower_region(region, env)
-        vals = [v for v, r in zip(results, region.results) if not r.ty.is_state]
+        self.lower_region(region, env)
+        vals = [env[r.origin] for r in region.results if not r.ty.is_state]
         if ret_ty is None:
             self.cur.term = Ret()
         else:
@@ -94,7 +113,6 @@ class _Lowerer:
     def lower_region(self, region, env):
         for node in self.g.topological_order(region):
             self.lower_node(node, env)
-        return [env.get(r.origin) for r in region.results]
 
     def lower_node(self, node, env):
         if node.kind == "simple":
@@ -110,68 +128,67 @@ class _Lowerer:
     # -- structural nodes -------------------------------------------------
 
     def lower_gamma(self, node, env):
-        pred = self.operand(env, node.inputs[0])
-        exit_ports = [o for o in node.outputs if not o.ty.is_state]
-        exit_vars = {o: self.names.fresh("v") for o in exit_ports}
-        exit_tys = {o: self.var_ty(o) for o in exit_ports}
+        pred = env[node.inputs[0].origin]
+        exits = [o for o in node.outputs if not o.ty.is_state and _is_used(o)]
+        phis = self.phis(exits)
         head = self.cur
-        cont = Block(self.names.fresh("b"))
+        join = Block(self.names.fresh("b"), phis=phis)
         alt_names = []
         for sub in node.subregions:
             blk = self._block()
             alt_names.append(blk.name)
             self.cur = blk
-            inner = {}
-            for l, use in enumerate(node.inputs[1:]):
-                inner[sub.args[l]] = None if use.ty.is_state \
-                    else self.operand(env, use)
+            inner = {arg: env[use.origin]
+                     for arg, use in zip(sub.args, node.inputs[1:])
+                     if arg.users and not use.ty.is_state}
             self.lower_region(sub, inner)
-            for o in exit_ports:
-                res = sub.results[o.index]
-                self.emit(Instr("copy", dest=exit_vars[o], ty=exit_tys[o],
-                                operands=[inner[res.origin]]))
-            self.cur.term = Br(cont.name)
+            for o, phi in zip(exits, phis):
+                phi.entries.append((inner[sub.results[o.index].origin],
+                                    self.cur.name))
+            self.cur.term = Br(join.name)
         head.term = Branch(self.var_ty(node.inputs[0].origin), pred, alt_names)
-        self.blocks.append(cont)
-        self.cur = cont
-        for o in exit_ports:
-            env[o] = Var(exit_vars[o])
+        self.blocks.append(join)
+        self.cur = join
+        for o, phi in zip(exits, phis):
+            env[o] = Var(phi.dest)
 
     def lower_theta(self, node, env):
-        g = self.g
         body = node.subregions[0]
-        loop = [(l, use) for l, use in enumerate(node.inputs)
-                if not use.ty.is_state]
-        carried, tys = {}, {}
-        for l, use in loop:
-            w = self.names.fresh("v")
-            carried[l] = w
-            tys[l] = self.var_ty(node.outputs[l])
-            self.emit(Instr("copy", dest=w, ty=tys[l],
-                            operands=[self.operand(env, use)]))
+        pre = self.cur
         head = self._block()
-        self.cur.term = Br(head.name)
+        pre.term = Br(head.name)
         self.cur = head
+        # an invariant loop variable, or one no iteration uses, needs
+        # no phi
+        carried = [l for l, use in enumerate(node.inputs)
+                   if not use.ty.is_state and _is_used(body.args[l])
+                   and body.results[l + 1].origin is not body.args[l]]
+        head.phis = self.phis([node.outputs[l] for l in carried])
+        latch = dict(zip(carried, head.phis))
         inner = {}
         for l, use in enumerate(node.inputs):
-            inner[body.args[l]] = Var(carried[l]) if l in carried else None
+            if l in latch:
+                latch[l].entries.append((env[use.origin], pre.name))
+                inner[body.args[l]] = Var(latch[l].dest)
+            elif not use.ty.is_state:
+                inner[body.args[l]] = env[use.origin]
         self.lower_region(body, inner)
-        pred = inner[body.results[0].origin]
-        pairs = []
-        for l, use in loop:
-            res = body.results[l + 1]
-            pairs.append((carried[l], tys[l], inner[res.origin]))
-        for instr in sequence_parallel_copies(pairs, self.names):
-            self.emit(instr)
+        for l, phi in latch.items():
+            phi.entries.append((inner[body.results[l + 1].origin],
+                                self.cur.name))
         exit_blk = Block(self.names.fresh("b"))
         # out-of-range selectors take the last target, so a repeating
         # match default and the repeat block must both sit last
-        self.cur.term = Branch(self.var_ty(body.results[0].origin), pred,
+        self.cur.term = Branch(self.var_ty(body.results[0].origin),
+                               inner[body.results[0].origin],
                                [exit_blk.name, head.name])
         self.blocks.append(exit_blk)
         self.cur = exit_blk
-        for l, use in loop:
-            env[node.outputs[l]] = Var(carried[l])
+        # the latch dominates the exit, so each output is the value the
+        # last iteration computed
+        for l, use in enumerate(node.inputs):
+            if not use.ty.is_state:
+                env[node.outputs[l]] = inner[body.results[l + 1].origin]
 
     # -- simple nodes -----------------------------------------------------
 
@@ -187,64 +204,50 @@ class _Lowerer:
             if op.table != tuple((i, i) for i in range(op.k)) \
                     or op.default != op.k - 1:
                 raise DestructError("match %s is not reconstructible" % op)
-            env[node.outputs[0]] = self.operand(env, ins[0])
+            env[node.outputs[0]] = env[ins[0].origin]
             return
+        outs = [o for o in node.outputs if not o.ty.is_state]
+        dest = self.names.fresh("v") if outs else None
+        operands = [env[u.origin] for u in ins]
         if n == "apply":
             fnty = lower(op.ty)
-            callee = self.operand(env, ins[0])
-            args = [self.operand(env, u) for u in ins[1:]]
             if len(fnty.results) > 1:
                 raise DestructError("call with %d value results"
                                     % len(fnty.results))
             ret_ty = fnty.results[0] if fnty.results else None
-            dest = self.names.fresh("v") if ret_ty is not None else None
-            self.emit(Instr("call", dest=dest, ty=ret_ty, operands=args,
-                            callee=callee, arg_tys=list(fnty.params)))
-            for o in node.outputs:
-                if not o.ty.is_state:
-                    env[o] = Var(dest)
-            return
-        outs = [o for o in node.outputs if not o.ty.is_state]
-        dest = self.names.fresh("v") if outs else None
-        self.emit(Instr(n, dest=dest, ty=lower(op.ty), operands=node_order(
-            n, [self.operand(env, u) for u in ins])))
+            instr = Instr("call", dest=dest, ty=ret_ty, operands=operands[1:],
+                          callee=operands[0], arg_tys=list(fnty.params))
+        else:
+            instr = Instr(n, dest=dest, ty=lower(op.ty),
+                          operands=node_order(n, operands))
+        self.cur.instrs.append(instr)
         for o in outs:
             env[o] = Var(dest)
 
 
 # -- module assembly ------------------------------------------------------
 
-def _lower_lambda(graph, node, portname):
+def construct_ssa(graph, node, portname, params, ret_ty):
+    """The SSA blocks of the body of lambda or delta `node`: each context
+    argument names the entity `portname` gives its origin, the value
+    arguments after them are the variables `params` (none for a delta),
+    and the body returns a value of type `ret_ty`, or none.  The traced
+    benchmark run (`perfbench/tracer.py`) times each body by this name."""
     body = node.subregions[0]
-    env = {}
-    for inp, arg in zip(node.inputs, body.args):
-        env[arg] = GlobalRef(portname[inp.origin])
-    fn_ty = lower(node.outputs[0].ty)
-    params = []
+    env = {arg: GlobalRef(portname[inp.origin])
+           for inp, arg in zip(node.inputs, body.args)}
     value_args = [a for a in body.args[node.n_ctx:] if not a.ty.is_state]
-    low = _Lowerer(graph)
-    for a, pty in zip(value_args, fn_ty.params):
-        pname = low.names.fresh("a")
-        params.append((pname, pty))
+    for a, (pname, _) in zip(value_args, params):
         env[a] = Var(pname)
+    return _Lowerer(graph).run(body, env, ret_ty)
+
+
+def _lower_lambda(graph, node, portname):
+    fn_ty = lower(node.outputs[0].ty)
+    params = [("a%d" % i, ty) for i, ty in enumerate(fn_ty.params)]
     ret_ty = fn_ty.results[0] if fn_ty.results else None
-    blocks = low.run(body, env, ret_ty)
-    fn = Function(node.name, params, ret_ty, blocks=blocks)
-    construct_ssa(fn)
-    return fn
-
-
-def _lower_delta(graph, node, portname):
-    body = node.subregions[0]
-    env = {}
-    for inp, arg in zip(node.inputs, body.args):
-        env[arg] = GlobalRef(portname[inp.origin])
-    elem_ty = lower(node.op.ty)
-    low = _Lowerer(graph)
-    blocks = low.run(body, env, elem_ty)
-    shim = Function(node.name, [], elem_ty, blocks=blocks)
-    construct_ssa(shim)
-    return GlobalVar(node.name, elem_ty, blocks=shim.blocks)
+    return Function(node.name, params, ret_ty, blocks=construct_ssa(
+        graph, node, portname, params, ret_ty))
 
 
 def destruct(graph):
@@ -263,7 +266,10 @@ def destruct(graph):
             module.order.append(node.name)
         elif node.kind == "delta":
             portname[node.outputs[0]] = node.name
-            module.globals_[node.name] = _lower_delta(graph, node, portname)
+            ty = lower(node.op.ty)
+            module.globals_[node.name] = GlobalVar(
+                node.name, ty, blocks=construct_ssa(graph, node, portname,
+                                                    [], ty))
             module.order.append(node.name)
         elif node.kind == "phi":
             _lower_phi(graph, node, portname, module)

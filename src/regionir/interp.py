@@ -176,7 +176,7 @@ def _operand(module, env, o, ty):
         return env[o.name]
     if isinstance(o, Lit):
         return coerce_literal(o.value, ty)
-    if module.ref_type(o.name).kind == "fn":
+    if module.is_function(o.name):
         return FnValue(o.name, external=o.name in module.externals)
     return global_addr(o.name)       # a global or external data
 

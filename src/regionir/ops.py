@@ -239,3 +239,14 @@ def operand_types(name, ty):
     `node_order`.  Raises ValueError as the signature does."""
     ins = SimpleOp(name, ty).signature()[0]
     return tuple(node_order(name, [t for t in ins if t.is_value]))
+
+
+@functools.lru_cache(maxsize=None)
+def result_type(name, ty):
+    """The type of the value a simple instruction defines: its node's
+    value output by `SimpleOp.signature`.  A copy or a call defines the
+    type it declares.  Raises ValueError as the signature does."""
+    if name in ("copy", "call"):
+        return ty
+    outs = SimpleOp(name, ty).signature()[1]
+    return next(t for t in outs if t.is_value)

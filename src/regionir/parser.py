@@ -33,7 +33,7 @@ from . import ops
 from .types import F64, PTR, intty, fnty, INT_WIDTHS
 from .source import (Module, Function, GlobalVar, Block, Instr, Phi, Br, Branch,
                      Ret, Var, Lit, GlobalRef, ARITH, CMP, validate_cfg,
-                     result_ty, compute_ipg)
+                     compute_ipg)
 from .restructure import tarjan
 
 
@@ -399,12 +399,23 @@ def _check_body(mod, ent):
     is_global = isinstance(ent, GlobalVar)
     result = ent.ty if is_global else ent.ret_ty
     vartys = {} if is_global else dict(ent.params)
+
+    def typed(table, i):
+        """`table(i.op, i.ty)`, for `table` `ops.result_type` or
+        `ops.operand_types`: an error on a type the operation is not
+        defined on."""
+        try:
+            return table(i.op, i.ty)
+        except ValueError:
+            raise SourceError("%s: %%%s = %s is not defined on %s"
+                              % (where, i.dest, i.op, i.ty))
+
     for b in ent.blocks:
         for p in b.phis:
             _settle(vartys, p.dest, p.ty, where)
         for i in b.instrs:
             if i.dest is not None:
-                _settle(vartys, i.dest, result_ty(i), where)
+                _settle(vartys, i.dest, typed(ops.result_type, i), where)
 
     def type_of(o, ty):
         """The type of operand `o`; a literal takes the type `ty` of its
@@ -448,11 +459,7 @@ def _check_body(mod, ent):
                                       % (where, i.callee, declared, fty))
                 tys = i.arg_tys
             else:
-                try:
-                    tys = ops.operand_types(i.op, i.ty)
-                except ValueError:
-                    raise SourceError("%s: %%%s = %s is not defined on %s"
-                                      % (where, i.dest, i.op, i.ty))
+                tys = typed(ops.operand_types, i)
             for o, ty in zip(i.operands, tys):
                 expect(o, ty, i)
         t = b.term
@@ -557,3 +564,21 @@ def print_module(mod):
             out.append("}")
         out.append("")
     return "\n".join(out)
+
+
+_NAME = re.compile(r"%([A-Za-z_.][A-Za-z0-9_.]*)|^([A-Za-z_][A-Za-z0-9_.]*):",
+                   re.M)
+
+
+def canonical(mod):
+    """The printed module with variables and labels renamed in order of
+    first appearance: two modules that differ only in their names print
+    the same."""
+    names = {}
+
+    def rename(m):
+        name = m.group(1) or m.group(2)
+        new = names.setdefault(name, "n%d" % len(names))
+        return "%" + new if m.group(1) else new + ":"
+
+    return _NAME.sub(rename, print_module(mod))

@@ -1,11 +1,11 @@
 """The CFG-based source language: modules, functions, globals, blocks,
 and the CFG toolkit the other modules share: a function copy to rewrite
 in place, successors and predecessors, read/write sets, unreachable-block
-removal, immediate dominator tree, and the result type of an instruction."""
+removal and the immediate dominator tree."""
 
 from dataclasses import dataclass, field, replace
 
-from .types import Ty, I1, PTR, fnty
+from .types import Ty, PTR, fnty
 
 # variables threaded implicitly by stateful instructions
 MEMVAR = ".mem"
@@ -114,17 +114,23 @@ class Module:
     externals: dict = field(default_factory=dict)   # name -> declared type
     order: list = field(default_factory=list)       # declaration order
 
+    def is_function(self, name):
+        """Whether the value `@name` is a function; KeyError if nothing
+        has that name."""
+        if name in self.functions:
+            return True
+        if name in self.externals:
+            return self.externals[name].kind == "fn"
+        if name in self.globals_:
+            return False
+        raise KeyError("undefined name @%s" % name)
+
     def ref_type(self, name):
         """The type of the value `@name`: a function's type, or `ptr`
         for anything else (a global names the address of its cell)."""
         if name in self.functions:
             return self.functions[name].fn_type()
-        if name in self.externals:
-            ty = self.externals[name]
-            return ty if ty.kind == "fn" else PTR
-        if name in self.globals_:
-            return PTR
-        raise KeyError("undefined name @%s" % name)
+        return self.externals[name] if self.is_function(name) else PTR
 
     def export_types(self):
         """Each exported name in declaration order, with its type: a
@@ -404,11 +410,3 @@ def idoms(fn):
     idom[entry] = None
     return idom
 
-
-def result_ty(instr):
-    """The source type of the value an instruction defines."""
-    if instr.op in CMP:
-        return I1
-    if instr.op in ("alloca", "gep"):
-        return PTR
-    return instr.ty

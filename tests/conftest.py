@@ -15,6 +15,7 @@ from regionir.parser import parse_file, check_module
 from regionir.build import construct
 from regionir.interp import DEFAULT_FUEL, eval_cfg, eval_rvsdg, run_to_outcome
 from regionir.randprog import random_args
+from regionir.source import Function, validate_cfg
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -85,8 +86,14 @@ def assert_equivalent(mod, graph, fixture, n_inputs=10, seed=0, back=None):
 
 
 def assert_closes(mod, back):
-    """`back`, a destruction of `mod`'s graph, constructs again and
-    exports the same names at the same types: the round trip closes."""
+    """`back`, a destruction of `mod`'s graph, is in SSA form, constructs
+    again and exports the same names at the same types: the round trip
+    closes."""
+    bodies = list(back.functions.values()) + [
+        Function(g.name, [], g.ty, blocks=g.blocks)
+        for g in back.globals_.values()]
+    for fn in bodies:
+        assert validate_cfg(fn, mode="ssa") == [], fn.name
     construct(back)
     assert back.export_types() == mod.export_types()
 

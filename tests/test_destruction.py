@@ -4,11 +4,16 @@
 assert the output is well-formed source.
 """
 
-from regionir import randprog
-from regionir.parser import check_module, parse, print_module
+import pytest
+
+from regionir import ops, randprog
+from regionir.graph import Graph
+from regionir.parser import canonical, check_module, parse, print_module
 from regionir.destruct import destruct
+from regionir.passes import DEFAULT_ORDER, PassConfig, run_pipeline
 from regionir.passes.pipeline import PASSES
 from regionir.source import ARITH, CMP, validate_cfg
+from regionir.types import I1, I64
 
 from conftest import assert_closes, assert_equivalent, build, load_corpus
 
@@ -31,6 +36,38 @@ def test_roundtrip_preserves_behavior(fixture_name):
     mod = load_corpus(fixture_name)
     g = build(mod)
     assert_equivalent(mod, g, fixture_name, back=destruct(g))
+
+
+# The corpus programs whose round trip reaches a fixpoint both with no
+# passes and after the default schedule.
+FIXPOINTS = """deadcode div_guard fib_rec floats globals indirect_calls
+    inline_target kway loads_state max_puts memory mul_chain mutual
+    narrow_ints select_chain self_rec shifty straightline undef_path
+    void_fn""".split()
+
+
+@pytest.mark.parametrize("schedule", ["", DEFAULT_ORDER],
+                         ids=["no_passes", "default"])
+@pytest.mark.parametrize("name", FIXPOINTS)
+def test_second_round_trip_is_a_fixpoint(name, schedule):
+    """[DERIVED] With P1 = destruct(construct(P)), after `schedule`,
+    destruct(construct(P1)) is P1 up to renaming."""
+    g = build(load_corpus(name + ".ir"))
+    run_pipeline(g, PassConfig(passes=schedule.split()))
+    first = destruct(g)
+    assert canonical(destruct(build(first))) == canonical(first)
+
+
+def test_phi_names_sort_in_emission_order():
+    """[DERIVED] `construct` orders a gamma's exits and a theta's loop
+    variables by name, so each block's phis get names that sort in the
+    order they are emitted, and the round trip keeps them in it (randprog
+    seed 7 size 4 has a join whose five phis would be v9 to v13)."""
+    first = destruct(build(parse(randprog.generate(7, size=4))))
+    for fn in first.functions.values():
+        for b in fn.blocks:
+            assert [p.dest for p in b.phis] == sorted(p.dest for p in b.phis)
+    assert canonical(destruct(build(first))) == canonical(first)
 
 
 def test_signatures_survive_the_roundtrip(fixture_name):
@@ -155,3 +192,34 @@ def test_unrolled_round_trip_closes():
     back = destruct(g)
     check_module(back)
     assert_closes(mod, back)
+
+
+def test_a_value_only_passed_on_unread_gets_no_phi():
+    """[DERIVED] A loop variable that only a gamma entry no alternative
+    reads and a match with no user take (RED leaves such uses for DNE)
+    gets no header phi; the counter beside it gets one."""
+    g = Graph()
+    lam = g.begin_lambda(g.root, "f")
+    n = g.lambda_add_param(lam, I64)
+    th = g.begin_theta(lam.subregions[0])
+    count, out = g.theta_add_loopvar(th, n)
+    passed, _ = g.theta_add_loopvar(th, n)
+    body = th.subregions[0]
+    one = g.add_simple(body, ops.const(1, I64), []).outputs[0]
+    dec = g.add_simple(body, ops.binop("sub", I64), [count, one]).outputs[0]
+    zero = g.add_simple(body, ops.const(0, I64), []).outputs[0]
+    c = g.add_simple(body, ops.binop("ne", I64), [dec, zero]).outputs[0]
+    m = g.add_simple(body, ops.identity_match(I1, 2), [c]).outputs[0]
+    gamma = g.begin_gamma(body, m, 2)
+    g.gamma_add_entry(gamma, passed)
+    g.add_simple(body, ops.identity_match(I64, 2), [passed])
+    g.theta_set_predicate(th, m)
+    g.theta_set_result(th, 0, dec)
+    g.theta_set_result(th, 1, one)
+    g.lambda_finish(lam, [out])
+    assert g.validate() == []
+    back = destruct(g)
+    check_module(back)
+    fn = back.functions["f"]
+    assert validate_cfg(fn, mode="ssa") == []
+    assert [len(b.phis) for b in fn.blocks if b.phis] == [1]

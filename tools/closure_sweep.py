@@ -14,14 +14,13 @@ Prints one line per failure and a summary; exits 1 if any fails.
 """
 
 import os
-import re
 import sys
 import time
 
 from regionir import randprog
 from regionir.build import construct
 from regionir.destruct import destruct
-from regionir.parser import check_module, parse, parse_file, print_module
+from regionir.parser import canonical, check_module, parse, parse_file
 from regionir.passes import DEFAULT_ORDER, PASSES, PassConfig, run_pipeline
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -32,21 +31,6 @@ CORPUS = os.path.join(ROOT, "tests", "corpus")
 # The Tier-1 random programs, N_RANDOM in tests/test_acceptance.py.
 SEEDS = 500
 SCHEDULES = [[name] for name in sorted(PASSES)] + [DEFAULT_ORDER.split()]
-_NAME = re.compile(r"%([A-Za-z_.][A-Za-z0-9_.]*)|^([A-Za-z_][A-Za-z0-9_.]*):",
-                   re.M)
-
-
-def canonical(mod):
-    """The printed module with variables and labels renamed in order of
-    first appearance."""
-    names = {}
-
-    def rename(m):
-        name = m.group(1) or m.group(2)
-        new = names.setdefault(name, "n%d" % len(names))
-        return "%" + new if m.group(1) else new + ":"
-
-    return _NAME.sub(rename, print_module(mod))
 
 
 def sweep_one(mod, schedule):
