@@ -6,9 +6,12 @@ A conditional becomes a gamma node whose entry variables are the
 demand of its alternatives and whose exit variables are the variables
 demanded after it that some alternative may write; every other
 demanded variable keeps the port it had before the gamma.  A loop
-becomes a theta node whose loop variables are the demand of the loop
-as a whole.  The '.mem' and '.io' pseudo-variables travel through the
-same machinery, which threads the two state edges with no extra cases.
+becomes a theta node whose loop variables are what its body reads and
+what it may write that is demanded after it; other demanded variables
+pass it by too.  Ports come in `_Emitter.in_port_order`, which follows
+the program's structure, not its spelling.  The '.mem' and '.io'
+pseudo-variables travel through the same machinery, which threads the
+two state edges with no extra cases.
 
 Across functions, the reference graph is split into strongly connected
 components: a lone function becomes a lambda, a lone global a delta,
@@ -21,9 +24,9 @@ from .types import MEM, IO, lift
 from . import ops
 from .graph import Graph, GraphError
 from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
-                     compute_ipg, copy_function, drop_unreachable)
+                     compute_ipg, copy_function, drop_unreachable, tarjan)
 from .ssa import destruct_ssa
-from .restructure import restructure, tarjan
+from .restructure import restructure
 from .controltree import (build_control_tree, annotate, CTBlock, CTLinear,
                           CTBranch)
 
@@ -45,8 +48,17 @@ class _Emitter:
     def __init__(self, g, vartys):
         self.g = g
         self.vartys = vartys
+        self.first = {name: i for i, name in enumerate(vartys)}
         self.pending = None         # (port, k): last branch selector
         self.ret = None             # port of the return value
+
+    def in_port_order(self, names):
+        """`names` in the order their ports are made: '.mem', '.io' and
+        '@name's first, by name, since global names survive a round
+        trip; then locals where they are first defined: parameters,
+        then instructions in block order."""
+        return sorted(names, key=lambda v: (1, self.first[v])
+                      if v in self.first else (0, v))
 
     # -- operands ---------------------------------------------------------
 
@@ -87,17 +99,18 @@ class _Emitter:
 
     def _emit_gamma(self, tree, region, syms):
         g = self.g
-        sel, k = self._take_pending(len(tree.alts))
+        k = len(tree.alts)
+        sel = self._take_pending(k)
         pred = g.add_simple(region, ops.identity_match(sel.ty, k), [sel])
         node = g.begin_gamma(region, pred.outputs[0], k)
         subsyms = [{} for _ in range(k)]
-        for v in sorted(tree.entries):
+        for v in self.in_port_order(tree.entries):
             args = g.gamma_add_entry(node, self.lookup(v, region, syms))
             for c in range(k):
                 subsyms[c][v] = args[c]
         for c, alt in enumerate(tree.alts):
             self.emit(alt, node.subregions[c], subsyms[c])
-        for v in sorted(tree.demand_out):
+        for v in self.in_port_order(tree.demand_out):
             origins = [self.lookup(v, node.subregions[c], subsyms[c])
                        for c in range(k)]
             syms[v] = g.gamma_add_exit(node, origins)
@@ -106,33 +119,28 @@ class _Emitter:
         g = self.g
         node = g.begin_theta(region)
         body = node.subregions[0]
-        loopvars = sorted(tree.demand_in)
-        bodysyms = {}
-        outs = {}
-        for l, v in enumerate(loopvars):
-            arg, out = g.theta_add_loopvar(node, self.lookup(v, region, syms))
-            bodysyms[v] = arg
-            outs[v] = out
+        loopvars = self.in_port_order(tree.demand_out)
+        ports = [g.theta_add_loopvar(node, self.lookup(v, region, syms))
+                 for v in loopvars]
+        bodysyms = {v: arg for v, (arg, _) in zip(loopvars, ports)}
         self.emit(tree.body, body, bodysyms)
-        sel, k = self._take_pending(None)
-        j = tree.repeat_index
-        table = [(i, 1 if i == j else 0) for i in range(k)]
-        default = 1 if j == k - 1 else 0
-        pred = g.add_simple(body, ops.match(sel.ty, table, default, 2), [sel])
+        # the tail branches to [exit, repeat]: case 1 repeats
+        sel = self._take_pending(2)
+        pred = g.add_simple(body, ops.identity_match(sel.ty, 2), [sel])
         g.theta_set_predicate(node, pred.outputs[0])
         for l, v in enumerate(loopvars):
             g.theta_set_result(node, l, self.lookup(v, body, bodysyms))
-            syms[v] = outs[v]
+        syms.update((v, out) for v, (_, out) in zip(loopvars, ports))
 
     def _take_pending(self, k):
         if self.pending is None:
             raise BuildError("structure ends without a branch selector")
         sel, sel_k = self.pending
         self.pending = None
-        if k is not None and sel_k != k:
+        if sel_k != k:
             raise BuildError("selector arity %d vs %d alternatives"
                              % (sel_k, k))
-        return sel, sel_k
+        return sel
 
     # -- blocks -----------------------------------------------------------
 

@@ -3,8 +3,9 @@
 After restructuring, the CFG reduces to a tree under three rules:
 merging linear chains, collapsing a branch whose alternatives all
 reconverge on one point, and folding a node with a self edge into a
-tail-controlled loop.  A CFG that does not reduce to a single node is
-rejected.
+tail-controlled loop.  Restructuring ends every loop in a tail that
+branches to [exit, repeat]; a CFG with any other loop tail, or one that
+does not reduce to a single node, is rejected.
 
 Demand annotation then computes, for every tree node, the variables it
 needs on entry (`demand_in`) and the variables still needed after it
@@ -15,7 +16,9 @@ part of what follows that some alternative may write, and it is the
 demand its alternatives are annotated under; its `entries` are the
 union of their `demand_in`.  Every other demanded variable passes the
 branch by untouched, so the branch's own `demand_in` is the same as if
-the whole of what follows were routed through it.  The pseudo-variables
+the whole of what follows were routed through it.  A loop's
+`demand_out`, which its body is annotated under, is what the body reads
+plus what it may write that is demanded after it.  The pseudo-variables
 '.mem' and '.io' are threaded by the read/write sets of stateful
 instructions, so state routing falls out of the same bookkeeping as
 ordinary variables.
@@ -53,12 +56,11 @@ class CTBranch:
 
 
 class CTLoop:
-    def __init__(self, body, repeat_index):
+    def __init__(self, body):
         self.body = body
-        self.repeat_index = repeat_index
 
     def __repr__(self):
-        return "Loop[%r @%d]" % (self.body, self.repeat_index)
+        return "Loop[%r]" % (self.body,)
 
 
 def children(tree):
@@ -103,11 +105,14 @@ def build_control_tree(fn):
             if n not in payload:
                 continue
             ss = succs[n]
-            # self loop
+            # self loop, in restructuring's tail shape
             if n in ss:
-                idx = ss.index(n)
-                payload[n] = CTLoop(payload[n], idx)
-                succs[n] = [s for s in ss if s != n]
+                if len(ss) != 2 or ss[1] != n:
+                    raise IrreducibleError(
+                        "%s: a loop tail does not branch to [exit, repeat]"
+                        % fn.name)
+                payload[n] = CTLoop(payload[n])
+                succs[n] = ss[:1]
                 preds[n].discard(n)
                 changed = True
                 continue
@@ -200,10 +205,11 @@ def _demand(tree, after):
         tree.entries = set().union(*(a.demand_in for a in tree.alts))
         tree.demand_in = (after - tree.demand_out) | tree.entries
     else:
-        d = set(after) | tree.reads
-        _demand(tree.body, d)
-        tree.demand_in = d
-        tree.demand_out = d
+        # what the body reads, and what it may write that is used later
+        tree.demand_out = (after & tree.may_writes) | tree.reads
+        _demand(tree.body, tree.demand_out)
+        tree.demand_in = after | tree.demand_out
+
 
 def annotate(tree, after):
     """Attach demand_in/demand_out everywhere; `after` is the demand at

@@ -7,9 +7,10 @@ body, structured control flow is reconstructed directly, in SSA form,
 because the region structure fixes every merge point: a gamma becomes a
 k-way branch whose alternatives rejoin in a block with one phi per used
 exit, and a theta becomes a do-while whose header holds one phi per
-loop variable that the body reads and may change.  State-typed ports
-vanish; the instruction order of the emitted blocks preserves the
-state edge order because emission follows a topological order.
+loop variable that the body reads and may change, each in port order
+with a plain fresh name.  State-typed ports vanish; the instruction
+order of the emitted blocks preserves the state edge order because
+emission follows a topological order.
 A match is elided into the branch that consumes it, so a ctl-typed
 gamma exit or theta loop variable carries the selector itself, and is
 declared at that selector's type for `construct` to match it again.
@@ -56,16 +57,6 @@ class _Lowerer:
         b = Block(self.names.fresh("b"))
         self.blocks.append(b)
         return b
-
-    def phis(self, ports):
-        """Empty phis for `ports`, named so that their names sort as
-        strings in the order of `ports`.  `construct` orders a gamma's
-        exits and a theta's loop variables by name, so the next round
-        trip emits them in this order again."""
-        count = self.names.count
-        if len(str(count)) < len(str(count + len(ports) - 1)):
-            self.names.count = 10 ** len(str(count))
-        return [Phi(self.names.fresh("v"), self.var_ty(p), []) for p in ports]
 
     def var_ty(self, port):
         """The source type of a variable holding `port`'s value.  A ctl
@@ -130,7 +121,7 @@ class _Lowerer:
     def lower_gamma(self, node, env):
         pred = env[node.inputs[0].origin]
         exits = [o for o in node.outputs if not o.ty.is_state and _is_used(o)]
-        phis = self.phis(exits)
+        phis = [Phi(self.names.fresh("v"), self.var_ty(o), []) for o in exits]
         head = self.cur
         join = Block(self.names.fresh("b"), phis=phis)
         alt_names = []
@@ -163,7 +154,8 @@ class _Lowerer:
         carried = [l for l, use in enumerate(node.inputs)
                    if not use.ty.is_state and _is_used(body.args[l])
                    and body.results[l + 1].origin is not body.args[l]]
-        head.phis = self.phis([node.outputs[l] for l in carried])
+        head.phis = [Phi(self.names.fresh("v"), self.var_ty(node.outputs[l]),
+                         []) for l in carried]
         latch = dict(zip(carried, head.phis))
         inner = {}
         for l, use in enumerate(node.inputs):

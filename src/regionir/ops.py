@@ -208,14 +208,11 @@ def undef(ty):
     return SimpleOp("undef", ty)
 
 
-def match(in_ty, table, default, k):
-    return SimpleOp("match", in_ty, table=tuple(sorted(table)), default=default, k=k)
-
-
 def identity_match(in_ty, k):
     """The selector produced for a dense k-way branch: i maps to i, the
     rest falls through to the last alternative."""
-    return match(in_ty, [(i, i) for i in range(k)], k - 1, k)
+    return SimpleOp("match", in_ty, table=tuple((i, i) for i in range(k)),
+                    default=k - 1, k=k)
 
 
 def apply_op(fn_ty):

@@ -33,8 +33,7 @@ from . import ops
 from .types import F64, PTR, intty, fnty, INT_WIDTHS
 from .source import (Module, Function, GlobalVar, Block, Instr, Phi, Br, Branch,
                      Ret, Var, Lit, GlobalRef, ARITH, CMP, validate_cfg,
-                     compute_ipg)
-from .restructure import tarjan
+                     compute_ipg, tarjan)
 
 
 class ParseError(Exception):

@@ -15,7 +15,7 @@ predicate variable (`.p`) and a join block.
 
 from .types import I1, narrowest_int
 from .source import (Var, Lit, Instr, Br, Branch, Ret, Block, successors,
-                     predecessors, retarget, drop_unreachable)
+                     predecessors, retarget, drop_unreachable, tarjan)
 from .ssa import NameGen
 
 
@@ -94,59 +94,6 @@ def normalize(fn, names, retinfo):
                 b.term.targets[i] = fwd.name
             else:
                 seen.add(tgt)
-
-
-# -- strongly connected components ----------------------------------------
-
-def tarjan(nodes, succ_of):
-    """SCCs of the induced subgraph, iterative, deterministic order."""
-    index = {}
-    low = {}
-    on = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    nodeset = set(nodes)
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(s for s in succ_of(root) if s in nodeset)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on.add(w)
-                    work.append((w, iter(sorted(
-                        s for s in succ_of(w) if s in nodeset))))
-                    advanced = True
-                    break
-                if w in on:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
 
 
 # -- loop restructuring ---------------------------------------------------
@@ -286,6 +233,7 @@ class _RegionCtx:
         self.fn = fn
         self.names = names
         self.bmap = fn.block_map()
+        self.pos = {b.name: i for i, b in enumerate(fn.blocks)}
         self.visible = visible
         self.terminal = terminal
         self.collapsed = collapsed      # header name -> LoopInfo
@@ -306,6 +254,7 @@ class _RegionCtx:
         _retarget(self._src_block(u), old, new)
 
     def add_block(self, block):
+        self.pos[block.name] = len(self.fn.blocks)
         self.fn.blocks.append(block)
         self.bmap[block.name] = block
         self.visible.add(block.name)
@@ -351,15 +300,11 @@ class _RegionCtx:
                 self.walk(t, stop)
             return None
 
-        everything = set().union(*regions) | {b}
-        conts = set()
-        for p in sorted(everything):
-            if p in shared:
-                continue
-            for s in self.succ_of(p):
-                if s in shared:
-                    conts.add(s)
-        conts = sorted(conts)
+        # blocks in block order, so the funnel does not follow their names
+        everything = sorted(set().union(*regions) | {b}, key=self.pos.get)
+        conts = sorted({s for p in everything if p not in shared
+                        for s in self.succ_of(p) if s in shared},
+                       key=self.pos.get)
 
         if len(conts) == 1:
             cp = conts[0]
@@ -379,7 +324,7 @@ class _RegionCtx:
                      term=Branch(pty, Var(bp), list(conts)))
         self.add_block(join)
         for i, cp in enumerate(conts):
-            for p in sorted(everything):
+            for p in everything:
                 if p in shared or cp not in self.succ_of(p):
                     continue
                 via = Block(self.names.fresh(".a"),

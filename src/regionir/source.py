@@ -1,7 +1,8 @@
 """The CFG-based source language: modules, functions, globals, blocks,
 and the CFG toolkit the other modules share: a function copy to rewrite
-in place, successors and predecessors, read/write sets, unreachable-block
-removal and the immediate dominator tree."""
+in place, successors and predecessors, read/write sets, strongly
+connected components, unreachable-block removal and the immediate
+dominator tree."""
 
 from dataclasses import dataclass, field, replace
 
@@ -261,6 +262,54 @@ def compute_ipg(module):
         if ent is not None and ent.blocks is not None:
             edges[name] = [r for r in _body_refs(ent.blocks)]
     return edges
+
+
+# -- strongly connected components ----------------------------------------
+
+def tarjan(nodes, succ_of):
+    """SCCs of the subgraph induced by `nodes`, iterative: roots in the
+    order of `nodes`, successors in the order `succ_of` gives them."""
+    index = {}
+    low = {}
+    on = set()
+    stack = []
+    sccs = []
+    work = []
+    nodeset = set(nodes)
+
+    def enter(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on.add(v)
+        work.append((v, iter([s for s in succ_of(v) if s in nodeset])))
+
+    for root in nodes:
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    enter(w)
+                    break
+                if w in on:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
+    return sccs
 
 
 # -- CFG validation -------------------------------------------------------

@@ -76,7 +76,7 @@ def destruct_ssa(fn):
         for p in b.phis:
             for o, lbl in p.entries:
                 by_pred.setdefault(lbl, []).append((p.dest, p.ty, o))
-        for pred, pairs in sorted(by_pred.items()):
+        for pred, pairs in by_pred.items():     # in phi-entry order
             copies = sequence_parallel_copies(pairs, names)
             pb = bmap[pred]
             if n_succs[pred] > 1:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from regionir.parser import parse_file, check_module
+from regionir.parser import parse_file
 from regionir.build import construct
 from regionir.interp import DEFAULT_FUEL, eval_cfg, eval_rvsdg, run_to_outcome
 from regionir.randprog import random_args
@@ -23,6 +23,12 @@ CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 # itself becomes the comparable outcome.
 FUEL_OVERRIDE = {"endless.ir": 3000}
 
+def random_size(seed):
+    """The size of Tier-1's random program `seed`: mostly small, with a
+    tail of large ones."""
+    return 8 if seed % 10 == 9 else 1 + seed % 3
+
+
 def corpus_files():
     return sorted(f for f in os.listdir(CORPUS) if f.endswith(".ir"))
 
@@ -32,9 +38,8 @@ def corpus_path(name):
 
 
 def load_corpus(name):
-    mod = parse_file(corpus_path(name))
-    check_module(mod)
-    return mod
+    """The checked corpus module `name` (`parse` checks what it reads)."""
+    return parse_file(corpus_path(name))
 
 
 def exported(mod):

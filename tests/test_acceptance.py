@@ -49,13 +49,12 @@ from regionir.interp import DEFAULT_FUEL
 
 from conftest import (FUEL_OVERRIDE, assert_closes, assert_equivalent, build,
                       corpus_files, corpus_path, exported, load_corpus,
-                      outcome_cfg, outcome_rvsdg)
+                      outcome_cfg, outcome_rvsdg, random_size)
 
 N_RANDOM = 500
-# mostly small programs, with a tail of large ones so criterion 7's fit
-# spans two orders of magnitude of instruction counts
-RANDOM_SIZES = [8 if seed % 10 == 9 else 1 + seed % 3
-                for seed in range(N_RANDOM)]
+# the tail of large programs lets criterion 7's fit span two orders of
+# magnitude of instruction counts
+RANDOM_SIZES = [random_size(seed) for seed in range(N_RANDOM)]
 RATIO_BOUND = 3.0       # committed: measured maximum is ~2.72
 R2_FLOOR = 0.9
 
@@ -64,9 +63,8 @@ _module_cache = {}
 
 def _random_module(seed):
     if seed not in _module_cache:
-        mod = parse(randprog.generate(seed, size=RANDOM_SIZES[seed]))
-        check_module(mod)
-        _module_cache[seed] = mod
+        _module_cache[seed] = parse(randprog.generate(
+            seed, size=RANDOM_SIZES[seed]))
     return _module_cache[seed]
 
 

@@ -4,6 +4,12 @@ The oracle for behavioral claims is the twin-interpreter comparison
 from conftest [DERIVED]; structural claims are [TRIVIAL].
 """
 
+import random
+import re
+
+import pytest
+
+from regionir import randprog, render
 from regionir.parser import parse, check_module, print_module
 from regionir.build import construct, prepare_tree, MEMVAR, IOVAR
 from regionir.controltree import (CTBlock, CTLinear, CTBranch, CTLoop,
@@ -11,7 +17,8 @@ from regionir.controltree import (CTBlock, CTLinear, CTBranch, CTLoop,
 from regionir.restructure import restructure
 from regionir.types import I64, IO, MEM
 
-from conftest import assert_equivalent, build, load_corpus
+from conftest import (assert_equivalent, build, corpus_files, load_corpus,
+                      random_size)
 
 
 def test_corpus_constructs_and_validates(fixture_name):
@@ -28,6 +35,40 @@ def test_corpus_construction_is_behavior_preserving(fixture_name):
     """[DERIVED] Source and graph agree on random inputs."""
     mod = load_corpus(fixture_name)
     assert_equivalent(mod, build(mod), fixture_name)
+
+
+_LOCAL = re.compile(r"%([A-Za-z_.][A-Za-z0-9_.]*)|^([A-Za-z_][A-Za-z0-9_.]*):",
+                    re.M)
+
+
+def _renamed(text, seed):
+    """`text` with every local variable and label renamed: each gets
+    `w` and a distinct number drawn by a seeded shuffle, so neither the
+    names' string order nor their lengths follow the old ones."""
+    names = sorted({m.group(1) or m.group(2) for m in _LOCAL.finditer(text)})
+    numbers = random.Random(seed).sample(range(10 * len(names)), len(names))
+    new = {n: "w%d" % k for n, k in zip(names, numbers)}
+
+    def rename(m):
+        return "%" + new[m.group(1)] if m.group(1) else new[m.group(2)] + ":"
+
+    return _LOCAL.sub(rename, text)
+
+
+@pytest.mark.parametrize(
+    "source", corpus_files() + ["seed%d" % s for s in range(40)])
+def test_construction_does_not_depend_on_names(source):
+    """[TRIVIAL] Renaming every local variable and label leaves the
+    graph as it was: construction orders ports and blocks by the
+    program's structure, not by how its names are spelled."""
+    if source.startswith("seed"):
+        seed = int(source[4:])
+        text = randprog.generate(seed, size=random_size(seed))
+    else:
+        text = print_module(load_corpus(source))
+    renamed = _renamed(text, seed=len(text))
+    assert renamed != text
+    assert render.dump(build(parse(renamed))) == render.dump(build(parse(text)))
 
 
 def test_unreachable_blocks_are_dropped():
@@ -61,6 +102,21 @@ def test_control_tree_rejects_leftover_tangles():
         pass
     else:
         raise AssertionError("expected IrreducibleError on the raw CFG")
+
+
+def test_control_tree_takes_one_loop_tail_shape():
+    """[TRIVIAL] A self loop folds only if it branches to [exit, repeat],
+    the tail restructuring makes; the reversed tail is rejected."""
+    text = ("export define i64 @f(i64 %n) {\n"
+            "e:\n  br label %h\n"
+            "h:\n  %n = sub i64 %n, 1\n  %c = gt i64 %n, 0\n"
+            "  branch i1 %c, [TARGETS]\n"
+            "x:\n  ret i64 %n\n}")
+    fn = parse(text.replace("TARGETS", "%x, %h")).functions["f"]
+    assert isinstance(build_control_tree(fn).children[1], CTLoop)
+    fn = parse(text.replace("TARGETS", "%h, %x")).functions["f"]
+    with pytest.raises(IrreducibleError, match=r"\[exit, repeat\]"):
+        build_control_tree(fn)
 
 
 def test_gcd_tree_shape():

@@ -15,7 +15,8 @@ from regionir.passes.pipeline import PASSES
 from regionir.source import ARITH, CMP, validate_cfg
 from regionir.types import I1, I64
 
-from conftest import assert_closes, assert_equivalent, build, load_corpus
+from conftest import (assert_closes, assert_equivalent, build, load_corpus,
+                      random_size)
 
 
 def test_roundtrip_output_is_checkable(fixture_name):
@@ -44,29 +45,31 @@ FIXPOINTS = """deadcode div_guard fib_rec floats globals indirect_calls
     inline_target kway loads_state max_puts memory mul_chain mutual
     narrow_ints select_chain self_rec shifty straightline undef_path
     void_fn""".split()
+# The same for random programs: Tier-1 seeds at their Tier-1 sizes, and
+# two rungs of the benchmark ladder (seed 7 at sizes 4 and 5).
+RANDOM_FIXPOINTS = [(seed, random_size(seed))
+                    for seed in (3, 16, 33, 51, 53, 66, 79, 97)] \
+    + [(7, 4), (7, 5)]
+
+
+def _fixpoint_source(case):
+    if isinstance(case, str):
+        return load_corpus(case + ".ir")
+    seed, size = case
+    return parse(randprog.generate(seed, size=size))
 
 
 @pytest.mark.parametrize("schedule", ["", DEFAULT_ORDER],
                          ids=["no_passes", "default"])
-@pytest.mark.parametrize("name", FIXPOINTS)
-def test_second_round_trip_is_a_fixpoint(name, schedule):
+@pytest.mark.parametrize(
+    "case", FIXPOINTS + RANDOM_FIXPOINTS,
+    ids=FIXPOINTS + ["seed%d_size%d" % c for c in RANDOM_FIXPOINTS])
+def test_second_round_trip_is_a_fixpoint(case, schedule):
     """[DERIVED] With P1 = destruct(construct(P)), after `schedule`,
     destruct(construct(P1)) is P1 up to renaming."""
-    g = build(load_corpus(name + ".ir"))
+    g = build(_fixpoint_source(case))
     run_pipeline(g, PassConfig(passes=schedule.split()))
     first = destruct(g)
-    assert canonical(destruct(build(first))) == canonical(first)
-
-
-def test_phi_names_sort_in_emission_order():
-    """[DERIVED] `construct` orders a gamma's exits and a theta's loop
-    variables by name, so each block's phis get names that sort in the
-    order they are emitted, and the round trip keeps them in it (randprog
-    seed 7 size 4 has a join whose five phis would be v9 to v13)."""
-    first = destruct(build(parse(randprog.generate(7, size=4))))
-    for fn in first.functions.values():
-        for b in fn.blocks:
-            assert [p.dest for p in b.phis] == sorted(p.dest for p in b.phis)
     assert canonical(destruct(build(first))) == canonical(first)
 
 
