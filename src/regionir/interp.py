@@ -12,13 +12,35 @@ one table `ops.SEMANTICS`; this module adds control, calls, memory and
 the state tokens.  A branch or match selector outside the covered range
 takes the last alternative (the default case).
 
+Both interpreters run from plans of step closures (Feeley & Lapalme,
+"Using closures for code generation", 1987), built once and cached in a
+`weakref.WeakKeyDictionary`.  A plan holds parts of its program --
+blocks, names, ports, types and constants -- but never the module or
+graph itself: a value that refers to its key would keep the key alive
+forever, so the module or graph is passed in at run time instead.
+
+One CFG step, one unit of fuel, is one instruction or one terminator
+run.  A function's plan, or a global initializer's, is built on the
+first run that reaches it and kept per module.  It holds the blocks by
+index, and each block's plan, built on the first entry into the block:
+one step per instruction, carrying its variable names, its
+`ops.SEMANTICS` function and its constants (a literal coerced at its
+position's type, an `@name` turned into its function value or address),
+and the terminator, with its targets resolved to block indices, each
+edge carrying the target's phi moves for its source label.  Building a
+plan evaluates nothing and raises nothing: an error is raised when its
+instruction runs, in the order of execution.  A built module is not
+edited: its plans are never rebuilt.
+
 One graph step, one unit of fuel, is one live node evaluated or one
 theta iteration.  Defining the functions and globals of the omega
 region and of phi bodies takes no fuel.  What a region evaluates is a
 static property of the graph, so each region's plan -- its live slice in
-producer-before-consumer order, simple nodes turned into step closures
--- is built once and cached per graph.  Every edit primitive of `Graph`
-bumps `Graph.version`, and a plan built at another version is rebuilt.
+producer-before-consumer order, nodes turned into step closures -- is
+built once and cached per graph.  A gamma step holds its alternatives'
+plans and a theta step its body's, each fetched on first entry.  Every
+edit primitive of `Graph` bumps `Graph.version`, and the next run drops
+every plan built at another version, those held by steps included.
 
 Global cells live at addresses derived from their names, so removing an
 unused global does not shift the addresses in the trace of the rest.
@@ -31,7 +53,7 @@ from .types import sizeof
 from .graph import holds_loop
 from .ops import (MIXED_OPERANDS, SEMANTICS, Trap, coerce_literal,
                   operand_types)
-from .source import Var, Lit, GlobalRef, Br, Branch, Ret, Phi, successors
+from .source import Var, Lit, Br, Ret
 
 DEFAULT_FUEL = 10 ** 7
 
@@ -140,129 +162,291 @@ class Machine:
 
 # -- CFG interpreter ------------------------------------------------------
 
+# module -> (function plans, initializer plans), each dict keyed by
+# name; the plans hold the module's blocks but never the module, so the
+# key can die
+_CFG_PLANS = weakref.WeakKeyDictionary()
+
+# how a step reads an operand (see `_resolve`)
+_VAR, _CONST, _LAZY = "var", "const", "lazy"
+
+
 def eval_cfg(module, fn_name, args, fuel=DEFAULT_FUEL, externals=None,
              machine=None):
     """Run an exported or internal function; returns (results, trace)."""
     if machine is None:
         machine = Machine(fuel, externals)
-    _init_globals_cfg(module, machine)
-    fn = module.functions.get(fn_name)
-    if fn is None:
+    plans = _CFG_PLANS.get(module)
+    if plans is None:
+        plans = _CFG_PLANS[module] = ({}, {})
+    cx = (module, plans[0])
+    _init_globals_cfg(machine, cx, plans[1])
+    plan = _fn_plan(cx, fn_name)
+    if plan is None:
         raise KeyError("no function @%s" % fn_name)
-    args = [coerce_literal(a, t) for a, (_, t) in zip(args, fn.params)]
-    rets = _call_cfg(module, machine, fn, args)
-    return rets, machine.trace
+    return _call_cfg(machine, cx, plan, args), machine.trace
 
 
-def _init_globals_cfg(module, machine):
+def _init_globals_cfg(machine, cx, inits):
+    module = cx[0]
     machine.mute = True
     for name in module.order:
         g = module.globals_.get(name)
         if g is None:
             continue
-        shim_env = {}
-        val = _run_blocks(module, machine, g.blocks, shim_env)
+        plan = inits.get(name)
+        if plan is None:
+            plan = inits[name] = _cfg_plan(g.blocks)
+        val = _run_cfg(machine, cx, plan, {})
         machine.mem[global_addr(name)] = val[0]
     machine.mute = False
 
 
-def _call_cfg(module, machine, fn, args):
-    env = {name: v for (name, _), v in zip(fn.params, args)}
-    return _run_blocks(module, machine, fn.blocks, env)
+def _fn_plan(cx, name):
+    """Function `name`'s plan, (params, blocks), built on the first call
+    that reaches it; None if the module defines no such function."""
+    module, fns = cx
+    plan = fns.get(name)
+    if plan is None:
+        fn = module.functions.get(name)
+        if fn is not None:
+            plan = fns[name] = (tuple(fn.params), _cfg_plan(fn.blocks))
+    return plan
 
 
-def _operand(module, env, o, ty):
-    if isinstance(o, Var):
-        return env[o.name]
-    if isinstance(o, Lit):
-        return coerce_literal(o.value, ty)
-    if module.is_function(o.name):
-        return FnValue(o.name, external=o.name in module.externals)
-    return global_addr(o.name)       # a global or external data
+def _call_cfg(machine, cx, plan, args):
+    params, blocks = plan
+    env = {name: coerce_literal(a, t) for (name, t), a in zip(params, args)}
+    return _run_cfg(machine, cx, blocks, env)
 
 
-def _run_blocks(module, machine, blocks, env):
-    bmap = {b.name: b for b in blocks}
-    block = blocks[0]
-    prev = None
-    while True:
-        if prev is not None and block.phis:
-            vals = []
-            for p in block.phis:
-                for o, lbl in p.entries:
-                    if lbl == prev:
-                        vals.append(_operand(module, env, o, p.ty))
-                        break
-                else:
-                    raise Trap("cfg", "phi without an entry for %s" % prev)
-            for p, v in zip(block.phis, vals):
-                env[p.dest] = v
-        for i in block.instrs:
-            machine.tick()
-            _exec_instr(module, machine, env, i)
-        machine.tick()
-        t = block.term
-        if isinstance(t, Ret):
-            if t.operand is None:
-                return []
-            return [_operand(module, env, t.operand, t.ty)]
-        if isinstance(t, Br):
-            target = t.target
-        else:
-            v = _operand(module, env, t.operand, t.ty)
-            if not 0 <= v < len(t.targets):
-                v = len(t.targets) - 1
-            target = t.targets[v]
-        prev = block.name
-        block = bmap[target]
-
-
-def _exec_instr(module, machine, env, i):
-    op = i.op
-    if op == "call":
-        callee = _operand(module, env, i.callee, None)
-        args = [_operand(module, env, o, t)
-                for o, t in zip(i.operands, i.arg_tys)]
-        rets = _dispatch_call(module, machine, callee, args,
-                              [] if i.ty is None else [i.ty])
-        if i.dest is not None:
-            env[i.dest] = rets[0]
-        return
-    ty = i.ty
-    if op == "copy":
-        env[i.dest] = _operand(module, env, i.operands[0], ty)
-        return
-    # a literal takes the type of its position, as in construction
-    if op in MIXED_OPERANDS:
-        vals = [_operand(module, env, o, t)
-                for o, t in zip(i.operands, operand_types(op, ty))]
-    else:
-        vals = [env[o.name] if o.__class__ is Var else
-                _operand(module, env, o, ty) for o in i.operands]
-    if op == "undef":
-        env[i.dest] = zero_value(ty)
-    elif op == "alloca":
-        env[i.dest] = machine.alloca(ty)
-    elif op == "load":
-        env[i.dest] = machine.load(vals[0])
-    elif op == "store":
-        machine.store(vals[1], vals[0])
-    elif len(vals) == 2:
-        env[i.dest] = SEMANTICS[op, ty.kind](ty, vals[0], vals[1])
-    else:
-        env[i.dest] = SEMANTICS[op, ty.kind](ty, vals[0])
-
-
-def _dispatch_call(module, machine, callee, args, result_tys):
+def _dispatch_call(machine, cx, callee, args, result_tys):
     if not isinstance(callee, FnValue):
         raise Trap("call", "calling a non-function value")
-    fn = module.functions.get(callee.name)
-    if fn is not None:
-        args = [coerce_literal(a, t) for a, (_, t) in zip(args, fn.params)]
-        return _call_cfg(module, machine, fn, args)
-    if callee.name in module.externals:
+    plan = _fn_plan(cx, callee.name)
+    if plan is not None:
+        return _call_cfg(machine, cx, plan, args)
+    if callee.name in cx[0].externals:
         return machine.call_external(callee.name, args, result_tys)
     raise Trap("call", "call to unknown function @%s" % callee.name)
+
+
+def _run_cfg(machine, cx, plan, env):
+    """Run a CFG's plan from its first block, one fuel tick per
+    instruction and one per terminator; returns the results."""
+    tick = machine.tick
+    built = plan[2]
+    k = 0
+    while True:
+        block = built[k]
+        if block is None:
+            block = built[k] = _block_plan(cx[0], plan, k)
+        steps, term = block
+        for step in steps:
+            tick()
+            step(machine, cx, env)
+        tick()
+        edge = term(env)
+        if edge.__class__ is list:
+            return edge
+        k, moves = edge
+        if moves is not None:
+            moves(env)
+
+
+def _cfg_plan(blocks):
+    """A CFG's plan: (blocks, block index by label, each block's plan
+    by index or None until the block is first entered)."""
+    return (tuple(blocks), {b.name: k for k, b in enumerate(blocks)},
+            [None] * len(blocks))
+
+
+def _block_plan(module, plan, k):
+    """Block `k`'s plan: its instruction steps and its terminator.  A
+    terminator gives the results, or the edge taken: the target's index
+    and the moves of the target's phis for this source label (None if
+    it has none).  Reads `module` to resolve `@name` operands and keeps
+    none of it."""
+    blocks, index, _ = plan
+    b = blocks[k]
+
+    def edge(label):
+        t = index.get(label)
+        if t is None:
+            return None
+        return t, _phi_moves(module, blocks[t].phis, b.name)
+
+    return (tuple(_planned(_instr_step, module, i) for i in b.instrs),
+            _planned(_term, module, b.term, edge))
+
+
+def _planned(build, *args):
+    """`build(*args)`, a step or terminator; if planning it raises, one
+    that raises the same error when it runs."""
+    try:
+        return build(*args)
+    except Exception as e:
+        return _raiser(type(e), *e.args)
+
+
+def _resolve(module, o, ty):
+    """How a step reads operand `o` at type `ty`: (_VAR, name),
+    (_CONST, value) with a literal coerced and `@name` turned into its
+    function value or address, or, where resolving raises, (_LAZY, f)
+    with `f()` raising the same error when the instruction runs."""
+    if isinstance(o, Var):
+        return _VAR, o.name
+    try:
+        if isinstance(o, Lit):
+            return _CONST, coerce_literal(o.value, ty)
+        if module.is_function(o.name):
+            return _CONST, FnValue(o.name, external=o.name in module.externals)
+        return _CONST, global_addr(o.name)   # a global or external data
+    except Exception as e:
+        return _LAZY, _raiser(type(e), *e.args)
+
+
+def _raiser(cls, *args):
+    def fail(*_):
+        raise cls(*args)
+    return fail
+
+
+def _getter(kind, x):
+    if kind is _VAR:
+        return lambda env: env[x]
+    if kind is _CONST:
+        return lambda env: x
+    return lambda env: x()
+
+
+def _phi_moves(module, phis, src):
+    """The parallel copy into `phis` on an edge from label `src`."""
+    if not phis:
+        return None
+    dests = tuple(p.dest for p in phis)
+    ops = []
+    for p in phis:
+        for o, lbl in p.entries:
+            if lbl == src:
+                ops.append(_resolve(module, o, p.ty))
+                break
+        else:
+            ops.append((_LAZY, _raiser(Trap, "cfg",
+                                       "phi without an entry for %s" % src)))
+    if all(kind is _VAR for kind, _ in ops):
+        names = tuple(x for _, x in ops)
+
+        def moves(env):
+            env.update(zip(dests, [env[n] for n in names]))
+    else:
+        gets = tuple(_getter(*o) for o in ops)
+
+        def moves(env):
+            env.update(zip(dests, [g(env) for g in gets]))
+    return moves
+
+
+def _term(module, t, edge):
+    """A terminator's closure: from `env`, the results, or the edge
+    taken; a branch selector outside its targets takes the last."""
+    if isinstance(t, Ret):
+        if t.operand is None:
+            return lambda env: []
+        get = _getter(*_resolve(module, t.operand, t.ty))
+        return lambda env: [get(env)]
+    if isinstance(t, Br):
+        e = edge(t.target)
+        return (lambda env: e) if e is not None else _raiser(KeyError,
+                                                             t.target)
+    kind, x = _resolve(module, t.operand, t.ty)
+    get = _getter(kind, x)
+    labels = tuple(t.targets)
+    edges = tuple(edge(lbl) for lbl in labels)
+    last = len(edges) - 1
+
+    def term(env):
+        v = env[x] if kind is _VAR else get(env)
+        if not 0 <= v <= last:
+            v = last
+        e = edges[v]
+        if e is None:
+            raise KeyError(labels[v])
+        return e
+    return term
+
+
+def _instr_step(module, i):
+    """An instruction's step, `step(machine, cx, env)`, with its
+    operands resolved and, for a pure operation, its `ops.SEMANTICS`
+    function.  Operands are read in order before the operation runs."""
+    op, ty, d = i.op, i.ty, i.dest
+    if op == "call":
+        callee = _getter(*_resolve(module, i.callee, None))
+        gets = tuple(_getter(*_resolve(module, o, t))
+                     for o, t in zip(i.operands, i.arg_tys))
+        result_tys = [] if ty is None else [ty]
+
+        def step(machine, cx, env):
+            rets = _dispatch_call(machine, cx, callee(env),
+                                  [g(env) for g in gets], result_tys)
+            if d is not None:
+                env[d] = rets[0]
+        return step
+    # a literal takes the type of its position, as in construction
+    tys = operand_types(op, ty) if op in MIXED_OPERANDS else \
+        [ty] * len(i.operands)
+    ops = [_resolve(module, o, t) for o, t in zip(i.operands, tys)]
+    gets = tuple(_getter(*o) for o in ops)
+    if op == "copy":
+        (ka, a), get = ops[0], gets[0]
+        if ka is _VAR:
+            def step(machine, cx, env):
+                env[d] = env[a]
+        else:
+            def step(machine, cx, env):
+                env[d] = get(env)
+    elif op == "load":
+        def step(machine, cx, env):
+            vals = [g(env) for g in gets]
+            env[d] = machine.load(vals[0])
+    elif op == "store":
+        def step(machine, cx, env):
+            vals = [g(env) for g in gets]
+            machine.store(vals[1], vals[0])
+    elif op == "undef":
+        def step(machine, cx, env):
+            env[d] = zero_value(ty)
+    elif op == "alloca":
+        def step(machine, cx, env):
+            env[d] = machine.alloca(ty)
+    elif len(ops) == 1:
+        f = SEMANTICS[op, ty.kind]
+        (ka, a), = ops
+        get, = gets
+        if ka is _VAR:
+            def step(machine, cx, env):
+                env[d] = f(ty, env[a])
+        else:
+            def step(machine, cx, env):
+                env[d] = f(ty, get(env))
+    else:
+        f = SEMANTICS[op, ty.kind]
+        (ka, a), (kb, b) = ops
+        ga, gb = gets
+        if ka is _VAR and kb is _VAR:
+            def step(machine, cx, env):
+                env[d] = f(ty, env[a], env[b])
+        elif ka is _VAR and kb is _CONST:
+            def step(machine, cx, env):
+                env[d] = f(ty, env[a], b)
+        elif ka is _CONST and kb is _VAR:
+            def step(machine, cx, env):
+                env[d] = f(ty, a, env[b])
+        else:
+            def step(machine, cx, env):
+                env[d] = f(ty, ga(env), gb(env))
+    return step
 
 
 # -- region graph interpreter ---------------------------------------------
@@ -292,6 +476,8 @@ def eval_rvsdg(graph, fn_name, args, fuel=DEFAULT_FUEL, externals=None,
             fv = env[res.origin]
     if fv is None:
         raise KeyError("no export named %r" % fn_name)
+    if not isinstance(fv, FnValue):
+        raise KeyError("no function @%s" % fn_name)
     fn_ty = fv.node.outputs[0].ty
     vals = [coerce_literal(a, t) for a, t in zip(args, fn_ty.params)]
     vals += [zero_value(t) for t in fn_ty.params[len(vals):]]
@@ -309,7 +495,7 @@ def call_value(machine, fv, args):
         env[arg] = fv.env[inp.origin]
     for arg, v in zip(body.args[fv.node.n_ctx:], args):
         env[arg] = v
-    return _eval_region(machine, fv.graph, body, env)
+    return _run_plan(machine, fv.graph, _plan(fv.graph, body), env)
 
 
 # graph -> (graph.version when built, {region: plan}); the values hold
@@ -335,8 +521,7 @@ def _plan(graph, region):
             live = _live_slice(region)
             nodes = [n for n in nodes if n.id in live]
         plan = cached[1][region] = (
-            tuple(_simple_step(n) if n.kind == "simple" else _node_step(n)
-                  for n in nodes),
+            tuple(_STEPS.get(n.kind, _node_step)(n) for n in nodes),
             tuple(r.origin for r in region.results))
     return plan
 
@@ -358,13 +543,14 @@ def _live_slice(region):
     return needed
 
 
-def _eval_region(machine, graph, region, env):
+def _run_plan(machine, graph, plan, env):
     """Evaluate a region's plan, one fuel tick per node; `env` maps
     ports already bound (the arguments) and receives every port
     evaluated."""
-    steps, results = _plan(graph, region)
+    steps, results = plan
+    tick = machine.tick
     for step in steps:
-        machine.tick()
+        tick()
         step(machine, graph, env)
     return [env[p] for p in results]
 
@@ -382,35 +568,56 @@ def _node_step(node):
     return step
 
 
-def _eval_node(machine, graph, node, env):
-    kind = node.kind
-    if kind == "gamma":
-        pred = env[node.inputs[0].origin]
-        k = len(node.subregions)
+def _gamma_step(node):
+    """A gamma's step: it fetches an alternative's plan on the first
+    entry into it and holds it from then on."""
+    pred_port = node.inputs[0].origin
+    entries = tuple(u.origin for u in node.inputs[1:])
+    subs = node.subregions
+    k = len(subs)
+    alt_args = tuple(tuple(sub.args) for sub in subs)
+    plans = [None] * k
+    outs = tuple(node.outputs)
+
+    def step(machine, graph, env):
+        pred = env[pred_port]
         if not 0 <= pred < k:
             raise Trap("ctl", "predicate %d outside ctl%d" % (pred, k))
-        sub = node.subregions[pred]
-        inner = {}
-        for l, use in enumerate(node.inputs[1:]):
-            inner[sub.args[l]] = env[use.origin]
-        outs = _eval_region(machine, graph, sub, inner)
-        for port, v in zip(node.outputs, outs):
-            env[port] = v
-    elif kind == "theta":
-        body = node.subregions[0]
-        vals = [env[use.origin] for use in node.inputs]
+        plan = plans[pred]
+        if plan is None:
+            plan = plans[pred] = _plan(graph, subs[pred])
+        inner = dict(zip(alt_args[pred], [env[p] for p in entries]))
+        env.update(zip(outs, _run_plan(machine, graph, plan, inner)))
+    return step
+
+
+def _theta_step(node):
+    """A theta's step, one fuel tick per iteration: it fetches its
+    body's plan on the first entry and holds it from then on."""
+    ins = tuple(u.origin for u in node.inputs)
+    body = node.subregions[0]
+    args = tuple(body.args)
+    outs = tuple(node.outputs)
+    plan = None
+
+    def step(machine, graph, env):
+        nonlocal plan
+        if plan is None:
+            plan = _plan(graph, body)
+        vals = [env[p] for p in ins]
         while True:
             machine.tick()
-            inner = {}
-            for arg, v in zip(body.args, vals):
-                inner[arg] = v
-            outs = _eval_region(machine, graph, body, inner)
-            vals = outs[1:]
-            if outs[0] == 0:
+            got = _run_plan(machine, graph, plan, dict(zip(args, vals)))
+            vals = got[1:]
+            if got[0] == 0:
                 break
-        for port, v in zip(node.outputs, vals):
-            env[port] = v
-    elif kind == "lambda":
+        env.update(zip(outs, vals))
+    return step
+
+
+def _eval_node(machine, graph, node, env):
+    kind = node.kind
+    if kind == "lambda":
         env[node.outputs[0]] = FnValue(node.name, node=node, env=env,
                                        graph=graph)
     elif kind == "delta":
@@ -421,7 +628,7 @@ def _eval_node(machine, graph, node, env):
             inner[arg] = env[inp.origin]
         was = machine.mute
         machine.mute = True
-        outs = _eval_region(machine, graph, body, inner)
+        outs = _run_plan(machine, graph, _plan(graph, body), inner)
         machine.mute = was
         machine.mem[addr] = outs[0]
         env[node.outputs[0]] = addr
@@ -507,6 +714,10 @@ def _simple_step(node):
         def step(machine, graph, env):
             env[o] = f(ty, env[a], env[b])
     return step
+
+
+_STEPS = {"simple": _simple_step, "gamma": _gamma_step,
+          "theta": _theta_step}
 
 
 def run_to_outcome(thunk):

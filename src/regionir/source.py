@@ -108,8 +108,14 @@ class GlobalVar:
     blocks: list = None             # initializer CFG
 
 
-@dataclass
+@dataclass(eq=False)
 class Module:
+    """A program: its functions, globals and externals by name, and the
+    names in declaration order.  A module is hashed and compared by
+    identity.  A built module is not edited: the interpreter keeps plans
+    of its bodies across runs, so a pass that rewrites a body in place
+    works on a `copy_function` copy."""
+
     functions: dict = field(default_factory=dict)
     globals_: dict = field(default_factory=dict)
     externals: dict = field(default_factory=dict)   # name -> declared type

@@ -2,8 +2,8 @@
 
 [DERIVED] results were computed by hand from the operational rules;
 [TRIVIAL] tests assert definitional behavior (trap kinds, masking);
-[PINNED] step counts were recorded from the graph interpreter as it was
-before region plans were cached, and must not drift.
+[PINNED] step counts were recorded from each interpreter as it was
+before its plans were cached, and must not drift.
 """
 
 import gc
@@ -18,7 +18,8 @@ from regionir.interp import (DEFAULT_FUEL, Machine, eval_cfg, eval_rvsdg,
                              run_to_outcome)
 from regionir.ops import binop, coerce_literal, const
 from regionir.passes import dne, red
-from regionir.passes.pipeline import PASSES
+from regionir.destruct import destruct
+from regionir.passes.pipeline import PASSES, run_pipeline
 from regionir.source import CMP
 from regionir.types import I64
 
@@ -278,6 +279,92 @@ def test_graph_step_counts_pinned():
         warm = _run_counted(g, name, args, fuel)
         assert cold == warm
         assert (cold[0][:2], cold[1]) == (want, steps), fixture
+
+
+# fuel used per PINNED_STEPS row by `eval_cfg`: on the source, and on
+# `destruct` of the graph after the default schedule
+PINNED_CFG_STEPS = [(1047, 1650), (1336, 2109), (1148, 1325), (12822, 14795),
+                    (41, 49), (206, 247), (181, 235), (286, 376),
+                    (3001, 3001), (3, 4)]
+
+
+def _cfg_counted(mod, name, args, fuel):
+    machine = Machine(fuel)
+    out = run_to_outcome(lambda: eval_cfg(mod, name, list(args),
+                                          machine=machine))
+    return out, fuel - machine.fuel
+
+
+def test_cfg_step_counts_pinned():
+    """[PINNED] One CFG step is one instruction or one terminator run:
+    results, trap kinds and fuel used stay exactly as recorded, on the
+    source and on its destruction, on a cold plan cache (the module's
+    first run) and a warm one (the same module object again)."""
+    for row, src_back in zip(PINNED_STEPS, PINNED_CFG_STEPS):
+        fixture, name, args, fuel, want, _ = row
+        mod = load_corpus(fixture)
+        g = construct(mod)
+        run_pipeline(g)
+        for m, steps in zip((mod, destruct(g)), src_back):
+            cold = _cfg_counted(m, name, args, fuel)
+            warm = _cfg_counted(m, name, args, fuel)
+            assert cold == warm
+            assert (cold[0][:2], cold[1]) == (want, steps), fixture
+
+
+DEAD_DIV = """
+export define i64 @f(i64 %x) {
+entry:
+  %c = eq i64 %x, 0
+  branch i1 %c, [%live, %dead]
+dead:
+  %a = add i64 %x, 1
+  %q = div i64 %a, 0
+  ret i64 %q
+live:
+  ret i64 %x
+}
+"""
+
+
+def test_cfg_plan_evaluates_nothing():
+    """[DERIVED] A division by the literal zero in a block that does not
+    run does not trap, before or after the block first runs; reached,
+    it traps at its own step: eq, branch, add, div."""
+    mod = parse(DEAD_DIV)
+    for _ in range(2):
+        assert _cfg_counted(mod, "f", (5,), 100) == (("ok", [5], []), 3)
+        assert _cfg_counted(mod, "f", (0,), 100) == (("trap", "div0"), 4)
+
+
+def test_plan_cache_does_not_keep_modules_alive():
+    """[TRIVIAL] CFG plans are cached per module without keeping it
+    alive: calls, function values, globals and phis included."""
+    for fixture, name, args in (("fib_rec.ir", "fib", (6,)),
+                                ("indirect_calls.ir", "tot", (4,)),
+                                ("globals.ir", "next", (1,)),
+                                ("collatz.ir", "collatz", (6,))):
+        mod = load_corpus(fixture)
+        g = construct(mod)
+        run_pipeline(g)
+        back = destruct(g)
+        assert outcome_cfg(mod, name, args)[0] == "ok"
+        assert outcome_cfg(back, name, args)[0] == "ok"
+        refs = [weakref.ref(mod), weakref.ref(back)]
+        del mod, back
+        gc.collect()
+        assert [r() for r in refs] == [None, None], fixture
+
+
+def test_non_function_export_is_not_callable():
+    """[TRIVIAL] Both interpreters refuse to call an exported global by
+    its name, with the same KeyError."""
+    mod = parse("export global i64 @g = { e: ret i64 5 }")
+    g = construct(mod)
+    for run, target in ((eval_cfg, mod), (eval_rvsdg, g)):
+        with pytest.raises(KeyError) as err:
+            run(target, "g", [])
+        assert err.value.args == ("no function @g",)
 
 
 def test_plan_cache_follows_pass_edits():
