@@ -1,11 +1,18 @@
-"""Port and value types shared by the source IR and the region graph."""
+"""Port and value types shared by the source IR and the region graph.
+
+Types are interned: there is one object per type.  `intty`, `ctl`,
+`fnty`, `lift` and `lower` return that object, and no other module
+constructs a `Ty`.  So `==`, `is` and hashing all mean identity, and a
+type compare, or a compare of two type lists, costs a pointer test per
+element.
+"""
 
 from dataclasses import dataclass, field
 
 INT_WIDTHS = (1, 8, 16, 32, 64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ty:
     """A port type.
 
@@ -42,13 +49,16 @@ class Ty:
         return self.kind
 
 
-# one object per integer type, so that most type compares are identity
+# the canonical objects: fixed ones here, control and function types on
+# first request (their tables only grow; a program has few distinct ones)
 INT_TYPES = {w: Ty("int", width=w) for w in INT_WIDTHS}
 I1, I8, I16, I32, I64 = (INT_TYPES[w] for w in INT_WIDTHS)
 F64 = Ty("f64")
 PTR = Ty("ptr")
 MEM = Ty("mem")
 IO = Ty("io")
+_CTL_TYPES = {}
+_FN_TYPES = {}
 
 
 def intty(width):
@@ -58,11 +68,18 @@ def intty(width):
 def ctl(k):
     if k < 1:
         raise ValueError("control type needs k >= 1, got %d" % k)
-    return Ty("ctl", k=k)
+    ty = _CTL_TYPES.get(k)
+    if ty is None:
+        ty = _CTL_TYPES[k] = Ty("ctl", k=k)
+    return ty
 
 
 def fnty(params, results):
-    return Ty("fn", params=tuple(params), results=tuple(results))
+    key = (tuple(params), tuple(results))
+    ty = _FN_TYPES.get(key)
+    if ty is None:
+        ty = _FN_TYPES[key] = Ty("fn", params=key[0], results=key[1])
+    return ty
 
 
 def narrowest_int(k):
@@ -78,9 +95,8 @@ def lift(ty):
     are appended to both the parameters and the results."""
     if ty.kind != "fn":
         return ty
-    return Ty("fn",
-              params=tuple(lift(t) for t in ty.params) + (MEM, IO),
-              results=tuple(lift(t) for t in ty.results) + (MEM, IO))
+    return fnty([lift(t) for t in ty.params] + [MEM, IO],
+                [lift(t) for t in ty.results] + [MEM, IO])
 
 
 def lower(ty):
@@ -92,8 +108,7 @@ def lower(ty):
         params = params[:-2]
     if results[-2:] == [MEM, IO]:
         results = results[:-2]
-    return Ty("fn", params=tuple(lower(t) for t in params),
-              results=tuple(lower(t) for t in results))
+    return fnty([lower(t) for t in params], [lower(t) for t in results])
 
 
 def sizeof(ty):

@@ -42,6 +42,17 @@ def load_corpus(name):
     return parse_file(corpus_path(name))
 
 
+def ports_and_uses(graph):
+    """Every port and use of `graph`: region arguments and results, node
+    inputs and outputs."""
+    for r in graph.regions():
+        yield from r.args
+        yield from r.results
+        for n in r.nodes:
+            yield from n.inputs
+            yield from n.outputs
+
+
 def exported(mod):
     return [n for n in mod.order
             if n in mod.functions and mod.functions[n].export]

@@ -17,7 +17,7 @@ from regionir.passes.pipeline import PASSES
 from regionir import ops, randprog
 from regionir.types import I1, I32, I64, ctl, fnty
 
-from conftest import corpus_files, load_corpus
+from conftest import corpus_files, load_corpus, ports_and_uses
 
 
 def _simple_fn():
@@ -367,6 +367,12 @@ def _break_missing_user(z):
     return ["%r missing from its origin's user list" % z.add.inputs[0]]
 
 
+def _break_missing_result_user(z):
+    res = z.sub0.results[0]
+    z.ev[0].users.remove(res)
+    return ["%r missing from its origin's user list" % res]
+
+
 def _break_wrong_region(z):
     z.add.region = z.body
     return ["node %d in wrong region" % z.add.id]
@@ -387,6 +393,12 @@ def _break_type(z):
             "node %d signature does not match operation add" % z.add.id]
 
 
+def _break_output_type(z):
+    z.add.outputs[0].ty = I32
+    return ["type mismatch i64 vs i32 at %r" % z.sub1.results[0],
+            "node %d signature does not match operation add" % z.add.id]
+
+
 def _break_dangling_use(z):
     z.g.disconnect(z.add.inputs[0])
     return ["%r is not the user of any edge" % z.add.inputs[0]]
@@ -395,6 +407,11 @@ def _break_dangling_use(z):
 def _break_subregion_owner(z):
     z.inner.owner = z.lam
     return ["subregion owner broken on node %d" % z.th.id]
+
+
+def _break_gamma_owner(z):
+    z.sub1.owner = z.lam
+    return ["subregion owner broken on node %d" % z.gam.id]
 
 
 def _break_simple_signature(z):
@@ -411,6 +428,13 @@ def _break_gamma_count(z):
     z.gam.subregions.pop()
     return ["gamma %d has fewer than 2 subregions" % z.gam.id,
             "gamma %d predicate is not ctl1" % z.gam.id]
+
+
+def _break_gamma_no_subregion(z):
+    z.gam.subregions.clear()
+    return ["gamma %d has fewer than 2 subregions" % z.gam.id,
+            "gamma %d predicate is not ctl0" % z.gam.id,
+            "gamma %d subregion signatures differ" % z.gam.id]
 
 
 def _break_gamma_predicate(z):
@@ -458,6 +482,11 @@ def _break_theta_count(z):
     return ["theta %d needs one subregion" % z.th.id]
 
 
+def _break_theta_no_subregion(z):
+    z.th.subregions.clear()
+    return ["theta %d needs one subregion" % z.th.id]
+
+
 def _break_theta_tuples(z):
     z.th.outputs.pop()
     return ["theta %d signature tuples disagree" % z.th.id]
@@ -480,6 +509,11 @@ def _break_lambda_shape(z):
     return ["lambda %d shape broken" % z.lam.id]
 
 
+def _break_lambda_no_subregion(z):
+    z.lam.subregions.clear()
+    return ["lambda %d shape broken" % z.lam.id]
+
+
 def _break_lambda_type(z):
     ty = fnty([I64], [I64])
     old = z.lam.outputs[0].ty
@@ -495,6 +529,11 @@ def _break_lambda_inputs(z):
 
 def _break_delta_shape(z):
     z.d.outputs[0].ty = I64
+    return ["delta %d shape broken" % z.d.id]
+
+
+def _break_delta_no_subregion(z):
+    z.d.subregions.clear()
     return ["delta %d shape broken" % z.d.id]
 
 
@@ -515,6 +554,11 @@ def _break_phi_count(z):
     return ["phi %d needs one subregion" % z.phi.id]
 
 
+def _break_phi_no_subregion(z):
+    z.phi.subregions.clear()
+    return ["phi %d needs one subregion" % z.phi.id]
+
+
 def _break_phi_recs(z):
     z.pbody.results.pop()
     return ["phi %d recursion variables malformed" % z.phi.id]
@@ -528,6 +572,11 @@ def _break_phi_args(z):
 def _break_phi_rec_types(z):
     z.rarg.ty = I64
     return ["phi %d recursion variable 0 types disagree" % z.phi.id]
+
+
+def _break_phi_ctx_type(z):
+    z.pbody.args[0].ty = I32
+    return ["phi %d context variable types disagree" % z.phi.id]
 
 
 def _break_phi_contents(z):
@@ -562,17 +611,21 @@ def _break_id_order(z):
 
 BREAKAGES = [
     _break_argument, _break_result, _break_input_index, _break_output,
-    _break_user_list, _break_missing_user, _break_wrong_region,
-    _break_cross_region, _break_type, _break_dangling_use,
-    _break_subregion_owner, _break_simple_signature, _break_simple_subregions,
-    _break_gamma_count, _break_gamma_predicate, _break_gamma_signatures,
-    _break_gamma_entries, _break_gamma_exits, _break_gamma_entry_types,
-    _break_gamma_exit_types,
-    _break_theta_count, _break_theta_tuples, _break_theta_predicate,
-    _break_theta_loopvar,
-    _break_lambda_shape, _break_lambda_type, _break_lambda_inputs,
-    _break_delta_shape, _break_delta_results, _break_delta_inputs,
-    _break_phi_count, _break_phi_recs, _break_phi_args, _break_phi_rec_types,
+    _break_user_list, _break_missing_user, _break_missing_result_user,
+    _break_wrong_region, _break_cross_region, _break_type, _break_output_type,
+    _break_dangling_use, _break_subregion_owner, _break_gamma_owner,
+    _break_simple_signature, _break_simple_subregions,
+    _break_gamma_count, _break_gamma_no_subregion, _break_gamma_predicate,
+    _break_gamma_signatures, _break_gamma_entries, _break_gamma_exits,
+    _break_gamma_entry_types, _break_gamma_exit_types,
+    _break_theta_count, _break_theta_no_subregion, _break_theta_tuples,
+    _break_theta_predicate, _break_theta_loopvar,
+    _break_lambda_shape, _break_lambda_no_subregion, _break_lambda_type,
+    _break_lambda_inputs,
+    _break_delta_shape, _break_delta_no_subregion, _break_delta_results,
+    _break_delta_inputs,
+    _break_phi_count, _break_phi_no_subregion, _break_phi_recs,
+    _break_phi_args, _break_phi_rec_types, _break_phi_ctx_type,
     _break_phi_contents,
     _break_stray_omega, _break_kind, _break_cycle, _break_id_order,
 ]
@@ -592,6 +645,20 @@ def test_validate_reports_each_violation(breakage):
     z = _zoo()
     expected = breakage(z)
     assert z.g.validate() == expected
+
+
+@pytest.mark.parametrize("ty", [I32, ctl(3)], ids=str)
+def test_validate_reports_every_retyped_slot(ty):
+    """[DERIVED] The zoo holds no `i32` and no `ctl3`, so giving any one
+    port or use either type breaks a typing invariant: the edge's two
+    ends, an operation's signature, a structural node's port lists or
+    its context variables.  `validate` reports it, through whichever of
+    its fast paths or checks sees it, and never raises."""
+    for i in range(len(list(ports_and_uses(_zoo().g)))):
+        z = _zoo()
+        slot = list(ports_and_uses(z.g))[i]
+        slot.ty = ty
+        assert z.g.validate() != [], slot
 
 
 # -- topological order ----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Source-tree rules checked by reading the code itself.
 
 [TRIVIAL] oracles: each rule is a definition over the import
-statements of `src/regionir` and `tests`.
+statements and calls of `src/regionir` and `tests`.
 """
 
 import ast
@@ -47,3 +47,30 @@ def test_tests_import_no_private_names():
     def from_regionir(node):
         return (node.module or "").split(".")[0] == "regionir"
     assert _private_imports(TESTS, from_regionir) == []
+
+
+def _type_constructions(top):
+    """`file:line` for every call `Ty(...)` in a module under `top`
+    other than `types.py`."""
+    found = []
+    for path in _modules(top):
+        if os.path.relpath(path, top) == "types.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if name == "Ty":
+                    found.append("%s:%d" % (os.path.relpath(path, top),
+                                            node.lineno))
+    return found
+
+
+def test_only_types_constructs_a_type():
+    """[TRIVIAL] Types are interned in `types.py`; a `Ty(...)` call
+    anywhere else would make a second object for a type, and identity
+    compares would then tell equal types apart."""
+    assert _type_constructions(SRC) == []
