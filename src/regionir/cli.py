@@ -17,7 +17,8 @@ from .destruct import DestructError, destruct
 from .rewrite import RewriteError
 from .restructure import RestructureError
 from .controltree import IrreducibleError
-from .interp import DEFAULT_FUEL, eval_cfg, eval_rvsdg, run_to_outcome
+from .interp import (DEFAULT_FUEL, Machine, eval_cfg, eval_rvsdg,
+                     run_to_outcome)
 from .passes import PassConfig, PassError, run_pipeline
 from .passes.pipeline import format_stats, parse_passes
 from .passes import dne
@@ -208,22 +209,30 @@ def cmd_roundtrip(ns, out):
              [n for n in mod.export_types() if n in mod.functions])
     for name in names:
         fn = mod.functions[name]
-        checked = 0
+        checked = src_steps = back_steps = 0
         for _ in range(ns.samples):
             args = random_args(rng, fn.params)
             if args is None:
                 break
-            ref = run_to_outcome(lambda: eval_cfg(mod, name, list(args),
-                                                  fuel=ns.fuel))
-            got = run_to_outcome(lambda: eval_rvsdg(g, name, list(args),
-                                                    fuel=ns.fuel))
-            rt = run_to_outcome(lambda: eval_cfg(back, name, list(args),
-                                                 fuel=ns.fuel))
+            ref, used = _counted(eval_cfg, mod, name, args, ns.fuel)
+            src_steps += used
+            got, _ = _counted(eval_rvsdg, g, name, args, ns.fuel)
+            rt, used = _counted(eval_cfg, back, name, args, ns.fuel)
+            back_steps += used
             if ref != got or ref != rt:
                 raise EquivalenceError("@%s(%s): outcomes diverge"
                                        % (name, args))
             checked += 1
-        out.write("@%s: %d samples ok\n" % (name, checked))
+        out.write("@%s: %d samples ok, steps %d -> %d\n"
+                  % (name, checked, src_steps, back_steps))
+
+
+def _counted(evaluate, program, name, args, fuel):
+    """The outcome of one run and the fuel it used."""
+    machine = Machine(fuel)
+    outcome = run_to_outcome(lambda: evaluate(program, name, list(args),
+                                              machine=machine))
+    return outcome, fuel - machine.fuel
 
 
 # -- argument parsing -----------------------------------------------------

@@ -570,12 +570,16 @@ def _node_step(node):
 
 def _gamma_step(node):
     """A gamma's step: it fetches an alternative's plan on the first
-    entry into it and holds it from then on."""
+    entry into it and holds it from then on.  It binds only the
+    arguments the alternative reads, from (argument, entry origin)
+    pairs listed once per alternative here."""
     pred_port = node.inputs[0].origin
-    entries = tuple(u.origin for u in node.inputs[1:])
     subs = node.subregions
     k = len(subs)
-    alt_args = tuple(tuple(sub.args) for sub in subs)
+    alt_binds = tuple(
+        tuple((arg, use.origin)
+              for arg, use in zip(sub.args, node.inputs[1:]) if arg.users)
+        for sub in subs)
     plans = [None] * k
     outs = tuple(node.outputs)
 
@@ -586,7 +590,7 @@ def _gamma_step(node):
         plan = plans[pred]
         if plan is None:
             plan = plans[pred] = _plan(graph, subs[pred])
-        inner = dict(zip(alt_args[pred], [env[p] for p in entries]))
+        inner = {arg: env[p] for arg, p in alt_binds[pred]}
         env.update(zip(outs, _run_plan(machine, graph, plan, inner)))
     return step
 

@@ -1,57 +1,94 @@
 """Pull nodes into the gamma alternative that consumes them.
 
-A stateless, non-trapping simple node whose every user feeds entry
-variables of a single gamma, where those entry variables are only read
-in one alternative, can be recomputed inside that alternative instead;
-the computation then runs only when the branch is actually taken.  The
-node's inputs enter the gamma through fresh entry variables, the
-original and the now-unread entries die and are swept later.
+A stateless, non-trapping simple node whose every live user is an entry
+variable of a single gamma, where only one alternative reads those
+entry variables, is recomputed inside that alternative instead; the
+computation then runs only when the branch is actually taken.  This is
+the inverse of PSH's speculation, the "compute only on the paths that
+need it" rule of lazy code motion.
+
+One run reaches the fixpoint.  Each region is walked consumers first,
+so a whole chain sinks in one walk: once a node is sunk, the copy reads
+its operands through entry variables, and an operand whose only other
+users were sunk nodes is then itself used only by that gamma.  A live
+user is one that does not belong to a node already sunk.  An operand
+that already enters the gamma reuses that entry; a new entry is made
+only when none exists.  After the walk, each gamma drops the entries
+the walk emptied in one batch, and the originals are removed, so the
+pass leaves nothing for dead node elimination.  The walk then descends
+into the subregions, where a sunk chain keeps moving inward through
+nested gammas.
 """
 
 
 def run(graph):
-    for node in list(graph.all_nodes()):
-        if node.region is None or node.kind != "simple":
-            continue
-        if node.op.is_stateful or node.op.can_trap:
-            continue
-        _try_pull(graph, node)
+    _process(graph, graph.root)
 
 
-def _try_pull(graph, node):
-    target = None
-    entries = []                 # (entry index, node output index)
-    for i, out in enumerate(node.outputs):
-        if not out.users:
-            return
+def _process(graph, region):
+    _sink(graph, region)
+    for node in region.nodes:
+        for sub in node.subregions:
+            _process(graph, sub)
+
+
+def _sink(graph, region):
+    sunk = {}                   # originals, consumers first (ordered set)
+    emptied = {}                # gamma -> entry indices now unread
+    entries = {}                # gamma -> {origin: its first entry index}
+    for node in reversed(graph.topological_order(region)):
+        if node.kind != "simple" or node.op.is_stateful or node.op.can_trap:
+            continue
+        target = _target(node, sunk)
+        if target is None:
+            continue
+        gamma, c = target
+        alt = gamma.subregions[c]
+        known = entries.get(gamma)
+        if known is None:
+            known = entries[gamma] = {}
+            for l, use in enumerate(gamma.inputs[1:]):
+                known.setdefault(use.origin, l)
+        inner = []
+        for use in node.inputs:
+            l = known.get(use.origin)
+            if l is None:
+                l = known[use.origin] = len(gamma.inputs) - 1
+                graph.gamma_add_entry(gamma, use.origin)
+            inner.append(alt.args[l])
+        moved = graph.add_simple(alt, node.op, inner)
+        gone = emptied.setdefault(gamma, set())
+        for out, new in zip(node.outputs, moved.outputs):
+            for use in out.users:
+                if use.node is gamma:
+                    graph.divert_users(alt.args[use.index - 1], new)
+                    gone.add(use.index - 1)
+        sunk[node] = None
+    for gamma, ls in emptied.items():
+        graph.remove_gamma_entries(gamma, ls)
+    for node in sunk:
+        graph.remove_node(node)
+
+
+def _target(node, sunk):
+    """The (gamma, alternative index) that `node` sinks into, or None.
+    Every live user must be an entry of one gamma, and the entries'
+    arguments must be read in exactly one alternative."""
+    gamma = None
+    readers = set()
+    for out in node.outputs:
         for use in out.users:
             g = use.node
+            if g in sunk:
+                continue
             if g is None or g.kind != "gamma" or use.index == 0:
-                return
-            if target is None:
-                target = g
-            elif g is not target:
-                return
-            entries.append((use.index - 1, i))
-    if target is None:
-        return
-
-    sub_index = None
-    for l, _ in entries:
-        args = [sub.args[l] for sub in target.subregions]
-        used = [c for c, a in enumerate(args) if a.users]
-        if len(used) != 1:
-            return
-        if sub_index is None:
-            sub_index = used[0]
-        elif used[0] != sub_index:
-            return
-
-    sub = target.subregions[sub_index]
-    inner_inputs = []
-    for use in node.inputs:
-        args = graph.gamma_add_entry(target, use.origin)
-        inner_inputs.append(args[sub_index])
-    moved = graph.add_simple(sub, node.op, inner_inputs)
-    for l, i in entries:
-        graph.divert_users(sub.args[l], moved.outputs[i])
+                return None
+            if gamma is None:
+                gamma = g
+            elif g is not gamma:
+                return None
+            readers.update(c for c, sub in enumerate(g.subregions)
+                           if sub.args[use.index - 1].users)
+    if len(readers) != 1:
+        return None
+    return gamma, readers.pop()

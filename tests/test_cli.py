@@ -7,12 +7,17 @@ expectations on committed fixtures).
 """
 
 import io
+import random
 
 import pytest
 
 from regionir import build, cli
 from regionir.controltree import IrreducibleError
-from regionir.destruct import DestructError
+from regionir.destruct import DestructError, destruct
+from regionir.interp import DEFAULT_FUEL, Machine, eval_cfg
+from regionir.parser import parse_file
+from regionir.passes import DEFAULT_ORDER, run_pipeline
+from regionir.randprog import random_args
 from regionir.graph import Graph, GraphError
 
 from conftest import corpus_path
@@ -249,6 +254,27 @@ def test_roundtrip_command_samples_random_inputs():
                          "--samples", "20")
     assert code == 0
     assert "@popcount: 20 samples ok" in text
+
+
+def test_roundtrip_reports_the_fuel_of_both_sources():
+    """[DERIVED] The line ends with the fuel the samples used on the
+    source and on the destructed module, after the default schedule:
+    the sums of what `eval_cfg` counts on the same inputs."""
+    code, text = run_cli("roundtrip", corpus_path("collatz.ir"),
+                         "--samples", "5", "--passes", DEFAULT_ORDER)
+    assert code == 0
+    mod = parse_file(corpus_path("collatz.ir"))
+    g = build.construct(mod)
+    run_pipeline(g)
+    rng = random.Random(0)
+    used = [0, 0]
+    for _ in range(5):
+        args = random_args(rng, mod.functions["collatz"].params)
+        for i, m in enumerate((mod, destruct(g))):
+            machine = Machine()
+            eval_cfg(m, "collatz", list(args), machine=machine)
+            used[i] += DEFAULT_FUEL - machine.fuel
+    assert text == "@collatz: 5 samples ok, steps %d -> %d\n" % tuple(used)
 
 
 def test_construct_and_dot_are_deterministic():

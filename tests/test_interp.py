@@ -283,8 +283,8 @@ def test_graph_step_counts_pinned():
 
 # fuel used per PINNED_STEPS row by `eval_cfg`: on the source, and on
 # `destruct` of the graph after the default schedule
-PINNED_CFG_STEPS = [(1047, 1650), (1336, 2109), (1148, 1325), (12822, 14795),
-                    (41, 49), (206, 247), (181, 235), (286, 376),
+PINNED_CFG_STEPS = [(1047, 1465), (1336, 1872), (1148, 1325), (12822, 14795),
+                    (41, 49), (206, 247), (181, 230), (286, 369),
                     (3001, 3001), (3, 4)]
 
 

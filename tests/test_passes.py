@@ -8,6 +8,8 @@ helpers are [TRIVIAL].
 
 import pytest
 
+from regionir import randprog
+from regionir.build import construct
 from regionir.graph import Graph
 from regionir.interp import eval_rvsdg
 from regionir.ops import SimpleOp, const
@@ -19,8 +21,8 @@ from regionir.passes.pipeline import (DEFAULT_ORDER, PASSES, format_stats,
                                       node_count, parse_passes)
 from regionir.passes import cne, dne, iln, inv, ivt, pll, psh, red, url
 
-from conftest import (assert_equivalent, bits, build, load_corpus,
-                      outcome_cfg, outcome_rvsdg)
+from conftest import (assert_equivalent, bits, build, corpus_files,
+                      load_corpus, outcome_cfg, outcome_rvsdg)
 
 
 def _ops(graph, name, region_pred=None):
@@ -408,6 +410,142 @@ def test_pll_moves_single_branch_work_into_the_branch():
     assert len(_ops(g, "mul", in_gamma)) == 1
     assert len(_ops(g, "mul")) == 1
     _checked(mod, g, "pull")
+
+
+def _fn(body, params="i64 %a, i64 %b"):
+    mod = parse("export define i64 @f(%s) {\n%s}" % (params, body))
+    check_module(mod)
+    return mod
+
+
+def test_pll_sinks_a_chain_in_one_run():
+    """[DERIVED] Only one arm reads w+3, and w = a*b feeds nothing else:
+    a single run moves both into that arm and removes the originals and
+    the entries it emptied, so DNE finds nothing left to remove."""
+    mod = _fn("e:\n  %w = mul i64 %a, %b\n  %v = add i64 %w, 3\n"
+              "  %c = lt i64 %a, 0\n  branch i1 %c, [%t, %u]\n"
+              "t:\n  ret i64 %b\n"
+              "u:\n  %r = xor i64 %v, %a\n  ret i64 %r\n")
+    g = build(mod)
+    in_gamma = _inside("gamma")
+    pll.run(g)
+    assert len(_ops(g, "mul", in_gamma)) == len(_ops(g, "mul")) == 1
+    assert len(_ops(g, "add", in_gamma)) == len(_ops(g, "add")) == 1
+    once = dump(g)
+    dne.run(g)
+    assert dump(g) == once
+    _checked(mod, g, "pulled chain")
+
+
+def test_pll_sinks_through_nested_gammas():
+    """[DERIVED] w is read only in one alternative of the inner gamma,
+    so one run carries it through the outer gamma into that
+    alternative, beside its reader."""
+    mod = _fn("e:\n  %w = mul i64 %a, %b\n  %c = lt i64 %a, 0\n"
+              "  branch i1 %c, [%t, %u]\n"
+              "t:\n  ret i64 %b\n"
+              "u:\n  %d = lt i64 %b, 0\n  branch i1 %d, [%v, %x]\n"
+              "v:\n  %r = add i64 %w, 1\n  ret i64 %r\n"
+              "x:\n  ret i64 %a\n")
+    g = build(mod)
+    pll.run(g)
+    (mul,), (add,) = _ops(g, "mul"), _ops(g, "add")
+    inner = mul.region.owner
+    assert inner.kind == "gamma" and inner.region.owner.kind == "gamma"
+    assert mul.region is add.region
+    _checked(mod, g, "pulled twice")
+
+
+def test_pll_reuses_the_entries_of_an_operand():
+    """[DERIVED] a and b already enter the gamma for the other arm, so
+    sinking w = a*b reads those entries: the entry of w goes and none is
+    added."""
+    mod = _fn("e:\n  %w = mul i64 %a, %b\n  %c = lt i64 %a, 0\n"
+              "  branch i1 %c, [%t, %u]\n"
+              "t:\n  %s = sub i64 %a, %b\n  ret i64 %s\n"
+              "u:\n  %r = add i64 %w, 1\n  ret i64 %r\n")
+    g = build(mod)
+    (gamma,) = [n for n in g.all_nodes() if n.kind == "gamma"]
+    entries = len(gamma.inputs)
+    pll.run(g)
+    assert len(gamma.inputs) == entries - 1
+    assert len(_ops(g, "mul", _inside("gamma"))) == 1
+    _checked(mod, g, "reused entries")
+
+
+_STAYS = {
+    # a division may trap; inside the arm it would trap only when the
+    # arm runs
+    "div": "e:\n  %w = div i64 %a, %b\n  %c = lt i64 %a, 0\n"
+           "  branch i1 %c, [%t, %u]\n"
+           "t:\n  ret i64 %b\n"
+           "u:\n  %r = add i64 %w, 1\n  ret i64 %r\n",
+    # a load reads the memory state
+    "load": "e:\n  %p = alloca i64\n  store i64 %a, %p\n"
+            "  %w = load i64, %p\n  %c = lt i64 %a, 0\n"
+            "  branch i1 %c, [%t, %u]\n"
+            "t:\n  ret i64 %b\n"
+            "u:\n  %r = add i64 %w, 1\n  ret i64 %r\n",
+    # both arms read w
+    "two_arms": "e:\n  %w = mul i64 %a, %b\n  %c = lt i64 %a, 0\n"
+                "  branch i1 %c, [%t, %u]\n"
+                "t:\n  %s = sub i64 %w, 1\n  ret i64 %s\n"
+                "u:\n  %r = add i64 %w, 1\n  ret i64 %r\n",
+    # w feeds the predicate as well as one arm
+    "predicate": "e:\n  %w = and i64 %a, 7\n  %c = lt i64 %w, 3\n"
+                 "  branch i1 %c, [%t, %u]\n"
+                 "t:\n  ret i64 %b\n"
+                 "u:\n  %r = add i64 %w, 1\n  ret i64 %r\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STAYS))
+def test_pll_leaves_what_must_stay(case):
+    """[DERIVED] A trapping or stateful node, a value two alternatives
+    read, and a value the predicate needs stay where they are: PLL
+    changes nothing."""
+    mod = _fn(_STAYS[case])
+    g = build(mod)
+    before = dump(g)
+    pll.run(g)
+    assert dump(g) == before
+    _checked(mod, g, case)
+
+
+def _schedule_source(source):
+    if source.startswith("ladder:"):
+        _, seed, size = source.split(":")
+        return parse(randprog.generate(int(seed), size=int(size)))
+    return load_corpus(source)
+
+
+_SCHEDULE_SOURCES = corpus_files() + [
+    "ladder:%d:%d" % (seed, size) for seed in (3, 7) for size in range(1, 9)]
+
+
+@pytest.mark.parametrize("source", _SCHEDULE_SOURCES)
+def test_pll_leaves_nothing_for_dne(source):
+    """[DERIVED] Run the default schedule up to its PLL, then PLL: the
+    originals it sank and the entries it emptied are gone already, so
+    DNE changes nothing."""
+    order = DEFAULT_ORDER.split()
+    g = construct(_schedule_source(source))
+    run_pipeline(g, PassConfig(passes=order[:order.index("PLL")]))
+    pll.run(g)
+    once = dump(g)
+    dne.run(g)
+    assert dump(g) == once
+
+
+@pytest.mark.parametrize("source", _SCHEDULE_SOURCES)
+def test_pll_reaches_its_fixpoint_in_one_run(source):
+    """[DERIVED] After the default schedule, one more PLL INV DNE finds
+    nothing to sink: the schedule's one PLL run sank every chain."""
+    g = construct(_schedule_source(source))
+    run_pipeline(g)
+    once = dump(g)
+    run_pipeline(g, PassConfig(passes=["PLL", "INV", "DNE"]))
+    assert dump(g) == once
 
 
 # -- ILN --------------------------------------------------------------------
