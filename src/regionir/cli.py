@@ -14,6 +14,7 @@ from .parser import (ParseError, SourceError, parse_file, check_module,
 from .graph import GraphError
 from .build import BuildError, MEMVAR, IOVAR, construct, prepare_tree
 from .destruct import DestructError, destruct
+from .source import code_size
 from .rewrite import RewriteError
 from .restructure import RestructureError
 from .controltree import IrreducibleError
@@ -125,8 +126,6 @@ def cmd_destruct(ns, out):
 
 def cmd_stats(ns, out):
     mod = parse_file(ns.file)
-    n_instrs = sum(len(b.phis) + len(b.instrs) + 1
-                   for fn in mod.functions.values() for b in fn.blocks)
     g = construct(mod)
     if ns.passes is not None:
         steps = run_pipeline(g, _pass_config(ns))
@@ -144,7 +143,7 @@ def cmd_stats(ns, out):
     dead = sum(1 for node in g.all_nodes()
                if node.outputs and node not in kept
                and not any(o in demanded for o in node.outputs))
-    out.write("instrs=%d\n" % n_instrs)
+    out.write("instrs=%d\n" % code_size(mod))
     out.write("nodes=%d\n" % total)
     out.write("edges=%d\n" % edges)
     out.write("dead=%d\n" % dead)
@@ -204,6 +203,7 @@ def cmd_roundtrip(ns, out):
         run_pipeline(g, _pass_config(ns))
     back = destruct(g)
     check_module(back)
+    out.write("size %d -> %d\n" % (code_size(mod), code_size(back)))
     rng = random.Random(ns.seed)
     names = ([_pick_fn(mod, ns.fn)] if ns.fn else
              [n for n in mod.export_types() if n in mod.functions])

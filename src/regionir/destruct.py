@@ -4,13 +4,18 @@ The omega region is walked in topological order: lambdas become
 functions, deltas become globals with initializer bodies, and the
 lambdas inside a phi become mutually recursive functions.  Inside each
 body, structured control flow is reconstructed directly, in SSA form,
-because the region structure fixes every merge point: a gamma becomes a
-k-way branch whose alternatives rejoin in a block with one phi per used
-exit, and a theta becomes a do-while whose header holds one phi per
-loop variable that the body reads and may change, each in port order
-with a plain fresh name.  State-typed ports vanish; the instruction
-order of the emitted blocks preserves the state edge order because
-emission follows a topological order.
+because the region structure fixes every merge point.  A gamma becomes
+a k-way branch whose alternatives rejoin in a block with one phi per
+used exit.  An alternative that emits nothing is not a block but the
+branch's edge to the join, its phi entries labelled with the branching
+block; into a join with phis only the first such alternative goes
+direct, as a phi has one entry per predecessor block, and into one
+without phis every one does.  A gamma that emits nothing at all, and
+has no used exit, emits no branch either.  A theta becomes a do-while
+whose header holds one phi per loop variable that the body reads and
+may change, each in port order with a plain fresh name.  State-typed
+ports vanish; the instruction order of the emitted blocks preserves the
+state edge order because emission follows a topological order.
 A match is elided into the branch that consumes it, so a ctl-typed
 gamma exit or theta loop variable carries the selector itself, and is
 declared at that selector's type for `construct` to match it again.
@@ -124,20 +129,30 @@ class _Lowerer:
         phis = [Phi(self.names.fresh("v"), self.var_ty(o), []) for o in exits]
         head = self.cur
         join = Block(self.names.fresh("b"), phis=phis)
-        alt_names = []
+        targets = []
+        direct = False              # whether an alternative is an edge
         for sub in node.subregions:
             blk = self._block()
-            alt_names.append(blk.name)
             self.cur = blk
             inner = {arg: env[use.origin]
                      for arg, use in zip(sub.args, node.inputs[1:])
                      if arg.users and not use.ty.is_state}
             self.lower_region(sub, inner)
+            # an empty alternative is an edge; a phi takes one per block
+            if self.cur is blk and not blk.instrs \
+                    and not (phis and direct):
+                self.blocks.pop()
+                self.cur, direct = head, True
+                targets.append(join.name)
+            else:
+                self.cur.term = Br(join.name)
+                targets.append(blk.name)
             for o, phi in zip(exits, phis):
                 phi.entries.append((inner[sub.results[o.index].origin],
                                     self.cur.name))
-            self.cur.term = Br(join.name)
-        head.term = Branch(self.var_ty(node.inputs[0].origin), pred, alt_names)
+        if not phis and set(targets) == {join.name}:
+            return                  # nothing to branch to, nor to join
+        head.term = Branch(self.var_ty(node.inputs[0].origin), pred, targets)
         self.blocks.append(join)
         self.cur = join
         for o, phi in zip(exits, phis):

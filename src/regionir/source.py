@@ -166,6 +166,13 @@ def copy_function(fn):
         for b in fn.blocks])
 
 
+def code_size(module):
+    """The size of `module`'s code: one unit per phi, instruction and
+    terminator of its functions (global initializers are not counted)."""
+    return sum(len(b.phis) + len(b.instrs) + 1
+               for fn in module.functions.values() for b in fn.blocks)
+
+
 def successors(term):
     if isinstance(term, Br):
         return [term.target]

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from regionir.parser import parse_file
+from regionir import randprog
+from regionir.parser import parse, parse_file
 from regionir.build import construct
 from regionir.interp import DEFAULT_FUEL, eval_cfg, eval_rvsdg, run_to_outcome
 from regionir.randprog import random_args
@@ -40,6 +41,19 @@ def corpus_path(name):
 def load_corpus(name):
     """The checked corpus module `name` (`parse` checks what it reads)."""
     return parse_file(corpus_path(name))
+
+
+# The benchmark ladder's small rungs: randprog seeds 3 and 7 at sizes 1-8.
+LADDER = ["ladder:%d:%d" % (seed, size) for seed in (3, 7)
+          for size in range(1, 9)]
+
+
+def load_source(source):
+    """A corpus module by file name, or a ladder rung `ladder:seed:size`."""
+    if source.startswith("ladder:"):
+        _, seed, size = source.split(":")
+        return parse(randprog.generate(int(seed), size=int(size)))
+    return load_corpus(source)
 
 
 def ports_and_uses(graph):

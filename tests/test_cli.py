@@ -274,7 +274,25 @@ def test_roundtrip_reports_the_fuel_of_both_sources():
             machine = Machine()
             eval_cfg(m, "collatz", list(args), machine=machine)
             used[i] += DEFAULT_FUEL - machine.fuel
-    assert text == "@collatz: 5 samples ok, steps %d -> %d\n" % tuple(used)
+    assert text.splitlines()[1:] == [
+        "@collatz: 5 samples ok, steps %d -> %d" % tuple(used)]
+
+
+def test_roundtrip_reports_the_size_of_both_sources(tmp_path):
+    """[DERIVED] The first line gives the code size of the source and of
+    the destructed module: what `stats` counts as `instrs=` on the file
+    and on the output of `opt`, which runs the same schedule."""
+    path = corpus_path("collatz.ir")
+    code, text = run_cli("roundtrip", path, "--samples", "1",
+                         "--passes", DEFAULT_ORDER)
+    assert code == 0
+    p = tmp_path / "opt.ir"
+    p.write_text(run_cli("opt", path)[1])
+    sizes = [int(line.split("=")[1]) for f in (path, str(p))
+             for line in run_cli("stats", f)[1].splitlines()
+             if line.startswith("instrs=")]
+    assert sizes[0] < sizes[1]
+    assert text.splitlines()[0] == "size %d -> %d" % tuple(sizes)
 
 
 def test_construct_and_dot_are_deterministic():

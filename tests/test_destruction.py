@@ -12,11 +12,12 @@ from regionir.parser import canonical, check_module, parse, print_module
 from regionir.destruct import destruct
 from regionir.passes import DEFAULT_ORDER, PassConfig, run_pipeline
 from regionir.passes.pipeline import PASSES
-from regionir.source import ARITH, CMP, validate_cfg
+from regionir.source import (ARITH, CMP, Br, Branch, Function, Ret, idoms,
+                             predecessors, validate_cfg)
 from regionir.types import I1, I64
 
-from conftest import (assert_closes, assert_equivalent, build, load_corpus,
-                      random_size)
+from conftest import (LADDER, assert_closes, assert_equivalent, build,
+                      corpus_files, load_corpus, load_source, random_size)
 
 
 def test_roundtrip_output_is_checkable(fixture_name):
@@ -226,3 +227,194 @@ def test_a_value_only_passed_on_unread_gets_no_phi():
     fn = back.functions["f"]
     assert validate_cfg(fn, mode="ssa") == []
     assert [len(b.phis) for b in fn.blocks if b.phis] == [1]
+
+
+# -- empty alternatives ----------------------------------------------------
+
+def _branching(fn):
+    """The one block of `fn` that ends in a `Branch`."""
+    [head] = [b for b in fn.blocks if isinstance(b.term, Branch)]
+    return head
+
+
+def _br_only(fn):
+    return [b for b in fn.blocks
+            if not b.phis and not b.instrs and isinstance(b.term, Br)]
+
+
+IF_WITHOUT_ELSE = """\
+export define i64 @f(i64 %x) {
+entry:
+  %c = lt i64 %x, 0
+  branch i1 %c, [%join, %neg]
+neg:
+  %n = sub i64 0, %x
+  br label %join
+join:
+  %r = phi i64 [%x, %entry], [%n, %neg]
+  ret i64 %r
+}
+"""
+
+
+def test_an_empty_alternative_is_an_edge_to_the_join():
+    """[DERIVED] The empty arm of an if without an else becomes the
+    branch's edge to the join, and the join's phi takes that arm's
+    value from the branching block."""
+    mod = parse(IF_WITHOUT_ELSE)
+    g = build(mod)
+    back = destruct(g)
+    fn = back.functions["f"]
+    head = _branching(fn)
+    [join] = [b for b in fn.blocks if b.phis]
+    assert join.name in head.term.targets
+    assert head.name in [lbl for _, lbl in join.phis[0].entries]
+    assert _br_only(fn) == []
+    assert validate_cfg(fn, mode="ssa") == []
+    assert_equivalent(mod, g, "if_without_else", back=back)
+
+
+TWO_EMPTY_ARMS = """\
+export define i64 @f(i64 %s, i64 %x) {
+entry:
+  %k = and i64 %s, 3
+  branch i64 %k, [%a, %b, %c]
+a:
+  %y = add i64 %x, 1
+  br label %j
+b:
+  br label %j
+c:
+  br label %j
+j:
+  %r = phi i64 [%y, %a], [%x, %b], [%s, %c]
+  ret i64 %r
+}
+"""
+
+
+def test_only_one_empty_alternative_goes_direct_to_a_join_with_phis():
+    """[DERIVED] Of two empty arms feeding a phi, the first becomes the
+    edge to the join and the second keeps its `br`-only block: a phi
+    has one entry per predecessor block."""
+    mod = parse(TWO_EMPTY_ARMS)
+    g = build(mod)
+    back = destruct(g)
+    fn = back.functions["f"]
+    head = _branching(fn)
+    [join] = [b for b in fn.blocks if b.phis]
+    [kept] = _br_only(fn)
+    assert head.term.targets.count(join.name) == 1
+    assert kept.name in head.term.targets and kept.term.target == join.name
+    assert validate_cfg(fn, mode="ssa") == []
+    assert_equivalent(mod, g, "two_empty_arms", back=back)
+
+
+ONE_CALLING_ARM = """\
+external @emit : fn(i64) -> ()
+
+export define i64 @f(i64 %s, i64 %x) {
+entry:
+  %k = and i64 %s, 3
+  branch i64 %k, [%a, %b, %c, %d]
+a:
+  br label %j
+b:
+  call () @emit(i64 %x)
+  br label %j
+c:
+  br label %j
+d:
+  br label %j
+j:
+  ret i64 %x
+}
+"""
+
+
+def test_every_empty_alternative_goes_direct_to_a_join_without_phis():
+    """[DERIVED] With no used exit, each of the three empty arms is an
+    edge to the join, so the branch names the join three times; the
+    result checks, constructs again and emits the same traces."""
+    mod = parse(ONE_CALLING_ARM)
+    g = build(mod)
+    back = destruct(g)
+    check_module(back)
+    fn = back.functions["f"]
+    head = _branching(fn)
+    [join] = [b for b in fn.blocks if isinstance(b.term, Ret)]
+    assert head.term.targets.count(join.name) == 3
+    assert _br_only(fn) == []
+    assert_closes(mod, back)
+    assert_equivalent(mod, g, "one_calling_arm", back=back)
+
+
+NOTHING_TO_JOIN = """\
+export define i64 @f(i64 %x) {
+entry:
+  %c = lt i64 %x, 0
+  branch i1 %c, [%a, %b]
+a:
+  br label %j
+b:
+  br label %j
+j:
+  ret i64 %x
+}
+"""
+
+
+def test_a_gamma_that_emits_nothing_emits_no_branch():
+    """[DERIVED] Both arms empty and no value joined: the branch and its
+    join are left out, and the body is one block."""
+    mod = parse(NOTHING_TO_JOIN)
+    g = build(mod)
+    back = destruct(g)
+    assert [isinstance(b.term, Ret) for b in back.functions["f"].blocks] \
+        == [True]
+    assert_equivalent(mod, g, "nothing_to_join", back=back)
+
+
+def _loop_edges(fn):
+    """The headers of `fn`'s loops, and the blocks that end one (a
+    latch branches back to a block that dominates it)."""
+    idom = idoms(fn)
+
+    def dominates(d, n):
+        while n is not None and n != d:
+            n = idom.get(n)
+        return n == d
+
+    preds = predecessors(fn.blocks)
+    back_edges = [(p, h) for h in preds for p in preds[h] if dominates(h, p)]
+    return {h for _, h in back_edges}, {p for p, _ in back_edges}
+
+
+@pytest.mark.parametrize("schedule", ["", DEFAULT_ORDER],
+                         ids=["no_passes", "default"])
+@pytest.mark.parametrize("source", corpus_files() + LADDER)
+def test_a_br_only_block_is_a_second_empty_arm(source, schedule):
+    """[DERIVED] Apart from an entry block and a block on a loop's way
+    in (it jumps to a header) or out (a latch branches to it), a block
+    holding only a `br` is an empty gamma alternative that could not be
+    an edge: a `Branch` targets it, and its own target is a join with
+    phis that the same `Branch` already targets directly."""
+    g = build(load_source(source))
+    run_pipeline(g, PassConfig(passes=schedule.split()))
+    back = destruct(g)
+    bodies = list(back.functions.values()) + [
+        Function(v.name, [], v.ty, blocks=v.blocks)
+        for v in back.globals_.values()]
+    for fn in bodies:
+        bmap = fn.block_map()
+        preds = predecessors(fn.blocks)
+        headers, latches = _loop_edges(fn)
+        for b in _br_only(fn):
+            if b is fn.blocks[0] or b.term.target in headers \
+                    or latches & set(preds[b.name]):
+                continue
+            [head] = preds[b.name]
+            term = bmap[head].term
+            assert isinstance(term, Branch), (fn.name, b.name)
+            assert bmap[b.term.target].phis, (fn.name, b.name)
+            assert b.term.target in term.targets, (fn.name, b.name)

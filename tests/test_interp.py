@@ -283,9 +283,9 @@ def test_graph_step_counts_pinned():
 
 # fuel used per PINNED_STEPS row by `eval_cfg`: on the source, and on
 # `destruct` of the graph after the default schedule
-PINNED_CFG_STEPS = [(1047, 1465), (1336, 1872), (1148, 1325), (12822, 14795),
-                    (41, 49), (206, 247), (181, 230), (286, 369),
-                    (3001, 3001), (3, 4)]
+PINNED_CFG_STEPS = [(1047, 1464), (1336, 1870), (1148, 1236), (12822, 13808),
+                    (41, 48), (206, 246), (181, 224), (286, 361),
+                    (3001, 3001), (3, 3)]
 
 
 def _cfg_counted(mod, name, args, fuel):

@@ -8,7 +8,6 @@ helpers are [TRIVIAL].
 
 import pytest
 
-from regionir import randprog
 from regionir.build import construct
 from regionir.graph import Graph
 from regionir.interp import eval_rvsdg
@@ -21,8 +20,8 @@ from regionir.passes.pipeline import (DEFAULT_ORDER, PASSES, format_stats,
                                       node_count, parse_passes)
 from regionir.passes import cne, dne, iln, inv, ivt, pll, psh, red, url
 
-from conftest import (assert_equivalent, bits, build, corpus_files,
-                      load_corpus, outcome_cfg, outcome_rvsdg)
+from conftest import (LADDER, assert_equivalent, bits, build, corpus_files,
+                      load_corpus, load_source, outcome_cfg, outcome_rvsdg)
 
 
 def _ops(graph, name, region_pred=None):
@@ -512,15 +511,7 @@ def test_pll_leaves_what_must_stay(case):
     _checked(mod, g, case)
 
 
-def _schedule_source(source):
-    if source.startswith("ladder:"):
-        _, seed, size = source.split(":")
-        return parse(randprog.generate(int(seed), size=int(size)))
-    return load_corpus(source)
-
-
-_SCHEDULE_SOURCES = corpus_files() + [
-    "ladder:%d:%d" % (seed, size) for seed in (3, 7) for size in range(1, 9)]
+_SCHEDULE_SOURCES = corpus_files() + LADDER
 
 
 @pytest.mark.parametrize("source", _SCHEDULE_SOURCES)
@@ -529,7 +520,7 @@ def test_pll_leaves_nothing_for_dne(source):
     originals it sank and the entries it emptied are gone already, so
     DNE changes nothing."""
     order = DEFAULT_ORDER.split()
-    g = construct(_schedule_source(source))
+    g = construct(load_source(source))
     run_pipeline(g, PassConfig(passes=order[:order.index("PLL")]))
     pll.run(g)
     once = dump(g)
@@ -541,7 +532,7 @@ def test_pll_leaves_nothing_for_dne(source):
 def test_pll_reaches_its_fixpoint_in_one_run(source):
     """[DERIVED] After the default schedule, one more PLL INV DNE finds
     nothing to sink: the schedule's one PLL run sank every chain."""
-    g = construct(_schedule_source(source))
+    g = construct(load_source(source))
     run_pipeline(g)
     once = dump(g)
     run_pipeline(g, PassConfig(passes=["PLL", "INV", "DNE"]))

@@ -7,20 +7,16 @@ type reachable from a module or a graph must be that object.
 
 import pytest
 
-from regionir import randprog
 from regionir.build import construct
 from regionir.destruct import destruct
-from regionir.parser import parse
 from regionir.passes import run_pipeline
 from regionir.source import Branch, Ret
 from regionir.types import (F64, IO, MEM, PTR, ctl, fnty, intty, lift,
                             lower)
 
-from conftest import corpus_files, load_corpus, ports_and_uses
+from conftest import LADDER, corpus_files, load_source, ports_and_uses
 
 FIXED = {"f64": F64, "ptr": PTR, "mem": MEM, "io": IO}
-LADDER = ["ladder:%d:%d" % (seed, size) for seed in (3, 7)
-          for size in range(1, 9)]
 
 
 def _canonical(ty):
@@ -83,11 +79,7 @@ def test_every_type_is_the_canonical_object(source):
     `construct` and after the default schedule, and in the destructed
     module is the object its constructor returns; every function type
     on a graph port survives `lower` then `lift` as the same object."""
-    if source.startswith("ladder:"):
-        _, seed, size = source.split(":")
-        mod = parse(randprog.generate(int(seed), size=int(size)))
-    else:
-        mod = load_corpus(source)
+    mod = load_source(source)
     _assert_module_interned(mod, "parse")
     g = construct(mod)
     _assert_graph_interned(g, "construct")
