@@ -24,7 +24,7 @@ from .types import MEM, IO, lift
 from . import ops
 from .graph import Graph, GraphError
 from .source import (Var, GlobalRef, Branch, Ret, Function, MEMVAR, IOVAR,
-                     compute_ipg, copy_function, drop_unreachable, tarjan)
+                     compute_ipg, copy_function, tarjan)
 from .ssa import destruct_ssa
 from .restructure import restructure
 from .controltree import (build_control_tree, annotate, CTBlock, CTLinear,
@@ -188,10 +188,9 @@ class _Emitter:
 def prepare_tree(fn, after):
     """Copy `fn` and run the construction phases up to the annotated
     control tree; returns the restructured copy and the tree.
-    Unreachable blocks go first: their edges would otherwise feed bogus
-    predecessors into the restructuring."""
+    `restructure` drops the unreachable blocks, with the copies
+    `destruct_ssa` put on their edges."""
     work = copy_function(fn)
-    drop_unreachable(work)
     destruct_ssa(work)
     restructure(work)
     tree = build_control_tree(work)

@@ -165,9 +165,10 @@ def _rw(tree):
     if isinstance(tree, CTBlock):
         r, w = set(), set()
         for item in reversed(_block_items(tree.block)):
-            r -= set(instr_writes(item))
-            r |= set(instr_reads(item))
-            w |= set(instr_writes(item))
+            writes = instr_writes(item)
+            r.difference_update(writes)
+            r.update(instr_reads(item))
+            w.update(writes)
         m = w
     elif isinstance(tree, CTLinear):
         r, w, m = set(), set(), set()

@@ -70,6 +70,10 @@ def _tokenize(text):
             line += 1
             col = 1
         else:
+            if kind == "var" and val[1] == ".":
+                # '.mem', '.io' and every fresh name construction makes
+                raise ParseError("%s is reserved: names that start with "
+                                 "'.' belong to the compiler" % val, line, col)
             if kind not in ("ws", "comment"):
                 toks.append((kind, val, line, col))
             col += len(val)
@@ -418,7 +422,7 @@ def _check_body(mod, ent):
 
     def type_of(o, ty):
         """The type of operand `o`; a literal takes the type `ty` of its
-        position."""
+        position, and must have a value there."""
         if o.__class__ is Var:
             vty = vartys.get(o.name)
             if vty is None:
@@ -430,6 +434,11 @@ def _check_body(mod, ent):
             except KeyError:
                 raise SourceError("%s: reference to undefined %s"
                                   % (where, o))
+        try:
+            ops.coerce_literal(o.value, ty)
+        except (OverflowError, ValueError):
+            raise SourceError("%s: literal %s has no %s value"
+                              % (where, o, ty))
         return ty
 
     def expect(o, ty, user):

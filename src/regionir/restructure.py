@@ -44,44 +44,60 @@ def _retarget(block, old, new):
                                % (block.name, old))
 
 
+# -- the function under restructuring -------------------------------------
+
+class _Cfg:
+    """The one view every phase shares: the function, its name counter,
+    its block map, each block's index in the block list, and the return
+    block every exit funnels through, made on demand."""
+
+    def __init__(self, fn, names):
+        self.fn = fn
+        self.names = names
+        self.bmap = fn.block_map()
+        self.pos = {b.name: i for i, b in enumerate(fn.blocks)}
+        self.ret = None
+        self.retvar = None
+
+    def add_block(self, block):
+        self.bmap[block.name] = block
+        self.pos[block.name] = len(self.fn.blocks)
+        self.fn.blocks.append(block)
+
+    def ret_block(self):
+        if self.ret is None:
+            ret_ty = self.fn.ret_ty
+            if ret_ty is not None:
+                self.retvar = self.names.fresh(".rv")
+            self.ret = Block(self.names.fresh(".ret"),
+                             term=Ret(ret_ty, Var(self.retvar))
+                             if self.retvar else Ret())
+            self.add_block(self.ret)
+        return self.ret
+
+
 # -- normalization --------------------------------------------------------
 
-class _RetInfo:
-    """The unique return block every exit funnels through."""
-
-    def __init__(self):
-        self.block = None
-        self.var = None
-
-    def get(self, fn, names):
-        if self.block is None:
-            self.var = names.fresh(".rv") if fn.ret_ty is not None else None
-            joined = Block(names.fresh(".ret"))
-            joined.term = Ret(fn.ret_ty, Var(self.var)) if self.var else Ret()
-            fn.blocks.append(joined)
-            self.block = joined
-        return self.block
-
-
-def normalize(fn, names, retinfo):
-    """Unique return block, loop-free entry, distinct branch targets."""
+def normalize(fn):
+    """Unique return block, loop-free entry, distinct branch targets;
+    returns the view the later phases share.  Unreachable blocks go
+    first: their edges would otherwise feed bogus predecessors into the
+    restructuring."""
     drop_unreachable(fn)
+    names = NameGen()
+    if predecessors(fn.blocks)[fn.blocks[0].name]:
+        fn.blocks.insert(0, Block(names.fresh(".s"),
+                                  term=Br(fn.blocks[0].name)))
+    cfg = _Cfg(fn, names)
 
     rets = [b for b in fn.blocks if isinstance(b.term, Ret)]
     if rets:
-        joined = retinfo.get(fn, names)
+        joined = cfg.ret_block()
         for b in rets:
-            if b is joined:
-                continue
-            if retinfo.var:
-                b.instrs.append(Instr("copy", dest=retinfo.var, ty=fn.ret_ty,
+            if cfg.retvar:
+                b.instrs.append(Instr("copy", dest=cfg.retvar, ty=fn.ret_ty,
                                       operands=[b.term.operand]))
             b.term = Br(joined.name)
-
-    preds = predecessors(fn.blocks)
-    if preds[fn.blocks[0].name]:
-        pre = Block(names.fresh(".s"), term=Br(fn.blocks[0].name))
-        fn.blocks.insert(0, pre)
 
     for b in list(fn.blocks):
         if not isinstance(b.term, Branch):
@@ -90,44 +106,37 @@ def normalize(fn, names, retinfo):
         for i, tgt in enumerate(b.term.targets):
             if tgt in seen:
                 fwd = Block(names.fresh(".d"), term=Br(tgt))
-                fn.blocks.append(fwd)
+                cfg.add_block(fwd)
                 b.term.targets[i] = fwd.name
             else:
                 seen.add(tgt)
+    return cfg
 
 
 # -- loop restructuring ---------------------------------------------------
 
-def restructure_loops(fn, names, retinfo):
-    """Funnel every SCC through a single head and tail; returns the
-    forest of loops found, outermost first."""
-    loops = []
-    universe = {b.name for b in fn.blocks}
-    _loops_in(fn, names, retinfo, universe, set(), loops)
-    return loops
-
-
-def _loops_in(fn, names, retinfo, universe, ignore, out):
-    bmap = fn.block_map()
+def restructure_loops(cfg, universe, ignore, out):
+    """Funnel every SCC among `universe`'s blocks, not following the
+    edges in `ignore`, through a single head and tail; appends the
+    forest of loops found, outermost first, to `out`."""
+    bmap = cfg.bmap
 
     def succ_of(n):
         return [s for s in successors(bmap[n].term)
                 if (n, s) not in ignore]
 
-    order = [b.name for b in fn.blocks if b.name in universe]
-    for scc in tarjan(order, succ_of):
+    for scc in tarjan(sorted(universe, key=cfg.pos.get), succ_of):
         sset = set(scc)
         if len(scc) == 1 and scc[0] not in succ_of(scc[0]):
             continue
-        li = _funnel_scc(fn, names, retinfo, universe, ignore, sset)
+        li = _funnel_scc(cfg, ignore, sset)
         out.append(li)
-        _loops_in(fn, names, retinfo, li.body,
-                  ignore | {(li.tail, li.header)}, li.children)
+        restructure_loops(cfg, li.body, ignore | {(li.tail, li.header)},
+                          li.children)
 
 
-def _funnel_scc(fn, names, retinfo, universe, ignore, sset):
-    bmap = fn.block_map()
-    order_index = {b.name: i for i, b in enumerate(fn.blocks)}
+def _funnel_scc(cfg, ignore, sset):
+    fn, names, bmap, pos = cfg.fn, cfg.names, cfg.bmap, cfg.pos
 
     def edges_into(targets_in_scc):
         found = []
@@ -138,16 +147,15 @@ def _funnel_scc(fn, names, retinfo, universe, ignore, sset):
         return found
 
     entry_nodes = sorted({s for u, s in edges_into(sset) if u not in sset},
-                         key=lambda n: order_index[n])
+                         key=pos.get)
     if not entry_nodes:
-        entry_nodes = [min(sset, key=lambda n: order_index[n])]
+        entry_nodes = [min(sset, key=pos.get)]
     exit_arcs = []
-    for u in sorted(sset, key=lambda n: order_index[n]):
+    for u in sorted(sset, key=pos.get):
         for s in successors(bmap[u].term):
             if s not in sset and (u, s) not in ignore:
                 exit_arcs.append((u, s))
-    exit_dests = sorted({s for _, s in exit_arcs},
-                        key=lambda n: order_index[n])
+    exit_dests = sorted({s for _, s in exit_arcs}, key=pos.get)
 
     want_q = len(entry_nodes) > 1
     want_x = len(exit_dests) > 1
@@ -161,19 +169,19 @@ def _funnel_scc(fn, names, retinfo, universe, ignore, sset):
     if want_x:
         xblk = Block(names.fresh(".lx"),
                      term=Branch(xty, Var(x), list(exit_dests)))
-        fn.blocks.append(xblk)
+        cfg.add_block(xblk)
         exit_target = xblk.name
     elif exit_dests:
         exit_target = exit_dests[0]
     else:
         # a loop with no way out; aim the (never taken) tail exit at the
         # common return block so the graph keeps a single sink
-        exit_target = retinfo.get(fn, names).name
+        exit_target = cfg.ret_block().name
 
     if want_q:
         head = Block(names.fresh(".lh"),
                      term=Branch(qty, Var(q), list(entry_nodes)))
-        fn.blocks.append(head)
+        cfg.add_block(head)
         body.add(head.name)
         header = head.name
     else:
@@ -181,7 +189,7 @@ def _funnel_scc(fn, names, retinfo, universe, ignore, sset):
 
     tail = Block(names.fresh(".lt"),
                  term=Branch(I1, Var(r), [exit_target, header]))
-    fn.blocks.append(tail)
+    cfg.add_block(tail)
     body.add(tail.name)
 
     entry_index = {e: i for i, e in enumerate(entry_nodes)}
@@ -195,7 +203,7 @@ def _funnel_scc(fn, names, retinfo, universe, ignore, sset):
         if want_q:
             arc.instrs.append(_const_copy(q, qty, entry_index[e]))
         arc.instrs.append(_const_copy(r, I1, 1))
-        fn.blocks.append(arc)
+        cfg.add_block(arc)
         body.add(arc.name)
         _retarget(bmap[u], e, arc.name)
 
@@ -204,7 +212,7 @@ def _funnel_scc(fn, names, retinfo, universe, ignore, sset):
         if want_x:
             arc.instrs.append(_const_copy(x, xty, exit_index[d]))
         arc.instrs.append(_const_copy(r, I1, 0))
-        fn.blocks.append(arc)
+        cfg.add_block(arc)
         body.add(arc.name)
         _retarget(bmap[u], d, arc.name)
 
@@ -214,7 +222,7 @@ def _funnel_scc(fn, names, retinfo, universe, ignore, sset):
                 continue
             arc = Block(names.fresh(".ln"), term=Br(header))
             arc.instrs.append(_const_copy(q, qty, entry_index[e]))
-            fn.blocks.append(arc)
+            cfg.add_block(arc)
             _retarget(bmap[u], e, arc.name)
 
     return LoopInfo(header, tail.name, body)
@@ -229,35 +237,25 @@ class _RegionCtx:
     """One single-entry region: the whole function or one loop body,
     with immediately nested loops collapsed to their headers."""
 
-    def __init__(self, fn, names, visible, terminal, collapsed):
-        self.fn = fn
-        self.names = names
-        self.bmap = fn.block_map()
-        self.pos = {b.name: i for i, b in enumerate(fn.blocks)}
-        self.visible = visible
+    def __init__(self, cfg, terminal, collapsed):
+        self.cfg = cfg
         self.terminal = terminal
         self.collapsed = collapsed      # header name -> LoopInfo
 
     def _src_block(self, n):
         if n in self.collapsed:
-            return self.bmap[self.collapsed[n].tail]
-        return self.bmap[n]
+            return self.cfg.bmap[self.collapsed[n].tail]
+        return self.cfg.bmap[n]
 
     def succ_of(self, n):
         if n == self.terminal:
             return []
         if n in self.collapsed:
             return [self._src_block(n).term.targets[0]]
-        return successors(self.bmap[n].term)
+        return successors(self.cfg.bmap[n].term)
 
     def retarget(self, u, old, new):
         _retarget(self._src_block(u), old, new)
-
-    def add_block(self, block):
-        self.pos[block.name] = len(self.fn.blocks)
-        self.fn.blocks.append(block)
-        self.bmap[block.name] = block
-        self.visible.add(block.name)
 
     def reach(self, start, stop):
         """Nodes reachable from start; includes stop if met, but does
@@ -301,65 +299,54 @@ class _RegionCtx:
             return None
 
         # blocks in block order, so the funnel does not follow their names
-        everything = sorted(set().union(*regions) | {b}, key=self.pos.get)
+        everything = sorted(set().union(*regions) | {b}, key=self.cfg.pos.get)
         conts = sorted({s for p in everything if p not in shared
                         for s in self.succ_of(p) if s in shared},
-                       key=self.pos.get)
+                       key=self.cfg.pos.get)
 
         if len(conts) == 1:
             cp = conts[0]
             for i, t in enumerate(cases):
                 if t == cp:
-                    empty = Block(self.names.fresh(".n"), term=Br(cp))
-                    self.add_block(empty)
+                    empty = Block(self.cfg.names.fresh(".n"), term=Br(cp))
+                    self.cfg.add_block(empty)
                     self.retarget(b, cp, empty.name)
             for t in self.succ_of(b):
                 self.walk(t, cp)
             return cp
 
         # several continuation points: funnel through a join block
-        bp = self.names.fresh(".p")
+        bp = self.cfg.names.fresh(".p")
         pty = narrowest_int(len(conts))
-        join = Block(self.names.fresh(".j"),
+        join = Block(self.cfg.names.fresh(".j"),
                      term=Branch(pty, Var(bp), list(conts)))
-        self.add_block(join)
+        self.cfg.add_block(join)
         for i, cp in enumerate(conts):
             for p in everything:
                 if p in shared or cp not in self.succ_of(p):
                     continue
-                via = Block(self.names.fresh(".a"),
+                via = Block(self.cfg.names.fresh(".a"),
                             instrs=[_const_copy(bp, pty, i)],
                             term=Br(join.name))
-                self.add_block(via)
+                self.cfg.add_block(via)
                 self.retarget(p, cp, via.name)
         for t in self.succ_of(b):
             self.walk(t, join.name)
         return join.name
 
 
-def restructure_branches(fn, names, loops):
-    all_names = {b.name for b in fn.blocks}
-
-    def region_for(body, entry, terminal, children):
-        visible = set(body)
-        collapsed = {}
-        for c in children:
-            visible -= c.body
-            visible.add(c.header)
-            collapsed[c.header] = c
-        ctx = _RegionCtx(fn, names, visible, terminal, collapsed)
-        ctx.walk(entry, None)
-        for c in children:
-            region_for(c.body, c.header, c.tail, c.children)
-
-    region_for(all_names, fn.blocks[0].name, None, loops)
+def restructure_branches(cfg, entry, terminal, loops):
+    """Make every branch of the region from `entry` to `terminal`
+    reconverge, then those of each loop body in it."""
+    _RegionCtx(cfg, terminal, {c.header: c for c in loops}).walk(entry, None)
+    for c in loops:
+        restructure_branches(cfg, c.header, c.tail, c.children)
 
 
 def restructure(fn):
     """Full control-flow restructuring; returns the loop forest."""
-    names = NameGen(fn)
-    retinfo = _RetInfo()
-    normalize(fn, names, retinfo)
-    loops = restructure_loops(fn, names, retinfo)
-    restructure_branches(fn, names, loops)
+    cfg = normalize(fn)
+    loops = []
+    restructure_loops(cfg, set(cfg.bmap), set(), loops)
+    restructure_branches(cfg, fn.blocks[0].name, None, loops)
     return loops

@@ -5,35 +5,28 @@ splitting critical edges, so that construction sees ordinary
 assignments.  There is no general SSA reconstruction: `destruct` emits
 phis where the region structure puts them, at gamma joins and loop
 headers.
+
+Every fresh name is a stem and a number.  The parser rejects a
+%variable that starts with '.', so a stem that does cannot meet a
+source name, and no function is scanned for the names it already uses.
 """
 
-from .source import (Var, Instr, Br, Block, successors, retarget,
-                     instr_reads, instr_writes)
+from .source import Var, Instr, Br, Block, successors, retarget
 
 
 class NameGen:
-    """Fresh names that cannot collide with anything already in `fn`
-    (or with each other, when there is no `fn` yet)."""
+    """Fresh names: a stem followed by a counter.  Two generators may
+    name into one function when their stems differ, since no stem holds
+    a digit and a name adds only digits: `destruct_ssa` uses '.e' and
+    '.t', and `restructure` its own '.'-stems."""
 
-    def __init__(self, fn=None):
-        used = set()
-        if fn is not None:
-            used.update(b.name for b in fn.blocks)
-            used.update(name for name, _ in fn.params)
-            for b in fn.blocks:
-                for i in list(b.phis) + list(b.instrs):
-                    used.update(instr_writes(i))
-                    used.update(instr_reads(i))
-        self.used = used
+    def __init__(self):
         self.count = 0
 
     def fresh(self, stem):
-        while True:
-            name = "%s%d" % (stem, self.count)
-            self.count += 1
-            if name not in self.used:
-                self.used.add(name)
-                return name
+        name = "%s%d" % (stem, self.count)
+        self.count += 1
+        return name
 
 
 # -- parallel copies ------------------------------------------------------
@@ -65,7 +58,7 @@ def sequence_parallel_copies(pairs, names):
 
 def destruct_ssa(fn):
     """Replace every phi with copies along the incoming edges."""
-    names = NameGen(fn)
+    names = NameGen()
     new_blocks = []
     bmap = fn.block_map()
     n_succs = {b.name: len(set(successors(b.term))) for b in fn.blocks}

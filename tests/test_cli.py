@@ -111,6 +111,8 @@ ILL_TYPED = {
                    "f: %r = rem is not defined on f64"),
     "shl_f64.ir": (_FF + "  %r = shl f64 %a, 2.0\n  ret f64 %r\n}\n",
                    "f: %r = shl is not defined on f64"),
+    "huge_literal.ir": (_F + "  %x = add i64 %a, 1.0e400\n  ret i64 %x\n}\n",
+                        "f: literal inf has no i64 value"),
 }
 
 
@@ -126,6 +128,28 @@ def test_check_rejects_ill_typed_operands(tmp_path, capsys, name):
     assert code == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# Programs that name a variable like a pseudo-variable of construction.
+RESERVED = {
+    ".mem": (_F + "  %.mem = add i64 %a, 1\n  %p = alloca i64\n"
+             "  store i64 %.mem, %p\n  %v = load i64, %p\n  ret i64 %v\n}\n"),
+    ".io": ("external @puts : fn(i64) -> ()\n" + _F
+            + "  %.io = add i64 %a, 1\n  call () @puts(i64 %.io)\n"
+            "  ret i64 %.io\n}\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESERVED))
+def test_reserved_names_exit_one(tmp_path, capsys, name):
+    """[DERIVED] A %variable named like '.mem' or '.io' is bad input,
+    named in the message, not a broken graph (exit 3)."""
+    p = tmp_path / "reserved.ir"
+    p.write_text(RESERVED[name])
+    code, _ = run_cli("run", str(p), "--args", "5")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "%" + name + " is reserved" in err and "Traceback" not in err
 
 
 def test_missing_file_exits_one():

@@ -41,13 +41,27 @@ _LOCAL = re.compile(r"%([A-Za-z_.][A-Za-z0-9_.]*)|^([A-Za-z_][A-Za-z0-9_.]*):",
                     re.M)
 
 
-def _renamed(text, seed):
-    """`text` with every local variable and label renamed: each gets
-    `w` and a distinct number drawn by a seeded shuffle, so neither the
-    names' string order nor their lengths follow the old ones."""
+# The stems of the names construction makes, without their '.'.
+_COMPILER_STEMS = ("r", "e", "lt", "rv", "t", "s", "d", "q", "x", "lx", "lh",
+                   "lr", "le", "ln", "n", "p", "j", "a", "ret")
+
+
+def _renamed(text, seed, scheme):
+    """`text` with every local variable and label renamed: each gets a
+    distinct number drawn by a seeded shuffle, so neither the names'
+    string order nor their lengths follow the old ones.  The "shuffle"
+    scheme spells a name `w` and its number; the "compiler" scheme
+    spells the first two 'mem' and 'io' and the rest as a stem of
+    construction's own names and its number."""
     names = sorted({m.group(1) or m.group(2) for m in _LOCAL.finditer(text)})
     numbers = random.Random(seed).sample(range(10 * len(names)), len(names))
-    new = {n: "w%d" % k for n, k in zip(names, numbers)}
+    if scheme == "shuffle":
+        spellings = ["w%d" % k for k in numbers]
+    else:
+        spellings = ["mem", "io"] + [
+            "%s%d" % (_COMPILER_STEMS[k % len(_COMPILER_STEMS)], k)
+            for k in numbers]
+    new = dict(zip(names, spellings))
 
     def rename(m):
         return "%" + new[m.group(1)] if m.group(1) else new[m.group(2)] + ":"
@@ -55,18 +69,25 @@ def _renamed(text, seed):
     return _LOCAL.sub(rename, text)
 
 
-@pytest.mark.parametrize(
-    "source", corpus_files() + ["seed%d" % s for s in range(40)])
-def test_construction_does_not_depend_on_names(source):
+_SOURCES = corpus_files() + ["seed%d" % s for s in range(40)]
+
+
+@pytest.mark.parametrize("source,scheme", [
+    pytest.param(source, scheme, id=source + suffix)
+    for scheme, suffix in (("shuffle", ""), ("compiler", "-compiler"))
+    for source in _SOURCES])
+def test_construction_does_not_depend_on_names(source, scheme):
     """[TRIVIAL] Renaming every local variable and label leaves the
     graph as it was: construction orders ports and blocks by the
-    program's structure, not by how its names are spelled."""
+    program's structure, not by how its names are spelled, and its own
+    fresh names cannot meet a source name, even one spelled like them
+    without the '.'."""
     if source.startswith("seed"):
         seed = int(source[4:])
         text = randprog.generate(seed, size=random_size(seed))
     else:
         text = print_module(load_corpus(source))
-    renamed = _renamed(text, seed=len(text))
+    renamed = _renamed(text, seed=len(text), scheme=scheme)
     assert renamed != text
     assert render.dump(build(parse(renamed))) == render.dump(build(parse(text)))
 

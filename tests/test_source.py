@@ -4,6 +4,8 @@
 worked out by hand from the grammar and checking rules.
 """
 
+import re
+
 import pytest
 
 from regionir import randprog, restructure
@@ -36,6 +38,27 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as e:
         parse("export define i64 @f(")
     assert "1:" in str(e.value)
+
+
+# A %name that starts with '.' at each place a variable is defined or used.
+_RESERVED_AT = {
+    "dest": "e:\n  %NAME = add i64 %a, 1\n  ret i64 %a\n",
+    "operand": "e:\n  %x = add i64 %NAME, 1\n  ret i64 %x\n",
+    "param": "e:\n  ret i64 %a\n",
+    "phi": "e:\n  br label %j\nj:\n  %NAME = phi i64 [%a, %e]\n  ret i64 %a\n",
+}
+
+
+@pytest.mark.parametrize("where", sorted(_RESERVED_AT))
+@pytest.mark.parametrize("name", [".mem", ".io", ".r0"])
+def test_names_that_start_with_a_dot_are_reserved(where, name):
+    """[TRIVIAL] '.mem', '.io' and construction's fresh names all start
+    with '.', so the parser rejects every such %name and names it."""
+    param = "%NAME" if where == "param" else "%b"
+    text = ("export define i64 @f(i64 %a, i64 " + param + ") {\n"
+            + _RESERVED_AT[where] + "}\n").replace("NAME", name)
+    with pytest.raises(ParseError, match=re.escape("%" + name + " is reserved")):
+        parse(text)
 
 
 def test_undefined_use_rejected():
