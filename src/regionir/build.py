@@ -36,11 +36,18 @@ class BuildError(Exception):
 
 
 def _vartys_of(fn):
+    """The type of every variable of the restructured `fn`, in order of
+    first definition.  The return block's variable is typed by its `ret`
+    even where nothing assigns it: a function that never returns still
+    has one, and `lookup` makes it an `undef` that never runs."""
     tys = {name: lift(ty) for name, ty in fn.params}
     for b in fn.blocks:
         for i in b.instrs:
             if i.dest is not None:
                 tys[i.dest] = lift(ops.result_type(i.op, i.ty))
+        t = b.term
+        if isinstance(t, Ret) and isinstance(t.operand, Var):
+            tys.setdefault(t.operand.name, lift(t.ty))
     return tys
 
 

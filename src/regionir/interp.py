@@ -27,9 +27,11 @@ one step per instruction, carrying its variable names, its
 `ops.SEMANTICS` function and its constants (a literal coerced at its
 position's type, an `@name` turned into its function value or address),
 and the terminator, with its targets resolved to block indices, each
-edge carrying the target's phi moves for its source label.  Building a
-plan evaluates nothing and raises nothing: an error is raised when its
-instruction runs, in the order of execution.  A built module is not
+edge carrying the target's phi moves for its source label.  The module
+must have passed `parser.check_module`, as every module `parse` returns
+has, so every label, phi entry, operation, literal and `@name` a plan
+resolves is there.  Building a plan evaluates nothing: a trap comes
+when its step runs, in the order of execution.  A built module is not
 edited: its plans are never rebuilt.
 
 One graph step, one unit of fuel, is one live node evaluated or one
@@ -51,8 +53,7 @@ import zlib
 
 from .types import sizeof
 from .graph import holds_loop
-from .ops import (MIXED_OPERANDS, SEMANTICS, Trap, coerce_literal,
-                  operand_types)
+from .ops import SEMANTICS, Trap, coerce_literal, operand_types
 from .source import Var, Lit, Br, Ret
 
 DEFAULT_FUEL = 10 ** 7
@@ -70,12 +71,11 @@ class FnValue:
     they carry the same name; that makes results comparable across the
     two interpreters."""
 
-    def __init__(self, name, node=None, env=None, graph=None, external=False):
+    def __init__(self, name, node=None, env=None, graph=None):
         self.name = name
         self.node = node
         self.env = env
         self.graph = graph
-        self.external = external
 
     def __eq__(self, other):
         return isinstance(other, FnValue) and other.name == self.name
@@ -168,12 +168,13 @@ class Machine:
 _CFG_PLANS = weakref.WeakKeyDictionary()
 
 # how a step reads an operand (see `_resolve`)
-_VAR, _CONST, _LAZY = "var", "const", "lazy"
+_VAR, _CONST = "var", "const"
 
 
 def eval_cfg(module, fn_name, args, fuel=DEFAULT_FUEL, externals=None,
              machine=None):
-    """Run an exported or internal function; returns (results, trace)."""
+    """Run an exported or internal function of `module`, which must have
+    passed `parser.check_module`; returns (results, trace)."""
     if machine is None:
         machine = Machine(fuel, externals)
     plans = _CFG_PLANS.get(module)
@@ -271,53 +272,30 @@ def _block_plan(module, plan, k):
     b = blocks[k]
 
     def edge(label):
-        t = index.get(label)
-        if t is None:
-            return None
+        t = index[label]
         return t, _phi_moves(module, blocks[t].phis, b.name)
 
-    return (tuple(_planned(_instr_step, module, i) for i in b.instrs),
-            _planned(_term, module, b.term, edge))
-
-
-def _planned(build, *args):
-    """`build(*args)`, a step or terminator; if planning it raises, one
-    that raises the same error when it runs."""
-    try:
-        return build(*args)
-    except Exception as e:
-        return _raiser(type(e), *e.args)
+    return (tuple(_instr_step(module, i) for i in b.instrs),
+            _term(module, b.term, edge))
 
 
 def _resolve(module, o, ty):
-    """How a step reads operand `o` at type `ty`: (_VAR, name),
+    """How a step reads operand `o` at type `ty`: (_VAR, name), or
     (_CONST, value) with a literal coerced and `@name` turned into its
-    function value or address, or, where resolving raises, (_LAZY, f)
-    with `f()` raising the same error when the instruction runs."""
+    function value or address."""
     if isinstance(o, Var):
         return _VAR, o.name
-    try:
-        if isinstance(o, Lit):
-            return _CONST, coerce_literal(o.value, ty)
-        if module.is_function(o.name):
-            return _CONST, FnValue(o.name, external=o.name in module.externals)
-        return _CONST, global_addr(o.name)   # a global or external data
-    except Exception as e:
-        return _LAZY, _raiser(type(e), *e.args)
-
-
-def _raiser(cls, *args):
-    def fail(*_):
-        raise cls(*args)
-    return fail
+    if isinstance(o, Lit):
+        return _CONST, coerce_literal(o.value, ty)
+    if module.is_function(o.name):
+        return _CONST, FnValue(o.name)
+    return _CONST, global_addr(o.name)   # a global or external data
 
 
 def _getter(kind, x):
     if kind is _VAR:
         return lambda env: env[x]
-    if kind is _CONST:
-        return lambda env: x
-    return lambda env: x()
+    return lambda env: x
 
 
 def _phi_moves(module, phis, src):
@@ -325,15 +303,8 @@ def _phi_moves(module, phis, src):
     if not phis:
         return None
     dests = tuple(p.dest for p in phis)
-    ops = []
-    for p in phis:
-        for o, lbl in p.entries:
-            if lbl == src:
-                ops.append(_resolve(module, o, p.ty))
-                break
-        else:
-            ops.append((_LAZY, _raiser(Trap, "cfg",
-                                       "phi without an entry for %s" % src)))
+    ops = [_resolve(module, next(o for o, lbl in p.entries if lbl == src),
+                    p.ty) for p in phis]
     if all(kind is _VAR for kind, _ in ops):
         names = tuple(x for _, x in ops)
 
@@ -357,22 +328,17 @@ def _term(module, t, edge):
         return lambda env: [get(env)]
     if isinstance(t, Br):
         e = edge(t.target)
-        return (lambda env: e) if e is not None else _raiser(KeyError,
-                                                             t.target)
+        return lambda env: e
     kind, x = _resolve(module, t.operand, t.ty)
     get = _getter(kind, x)
-    labels = tuple(t.targets)
-    edges = tuple(edge(lbl) for lbl in labels)
+    edges = tuple(edge(lbl) for lbl in t.targets)
     last = len(edges) - 1
 
     def term(env):
         v = env[x] if kind is _VAR else get(env)
         if not 0 <= v <= last:
             v = last
-        e = edges[v]
-        if e is None:
-            raise KeyError(labels[v])
-        return e
+        return edges[v]
     return term
 
 
@@ -394,9 +360,8 @@ def _instr_step(module, i):
                 env[d] = rets[0]
         return step
     # a literal takes the type of its position, as in construction
-    tys = operand_types(op, ty) if op in MIXED_OPERANDS else \
-        [ty] * len(i.operands)
-    ops = [_resolve(module, o, t) for o, t in zip(i.operands, tys)]
+    ops = [_resolve(module, o, t)
+           for o, t in zip(i.operands, operand_types(op, ty))]
     gets = tuple(_getter(*o) for o in ops)
     if op == "copy":
         (ka, a), get = ops[0], gets[0]
@@ -464,7 +429,7 @@ def eval_rvsdg(graph, fn_name, args, fuel=DEFAULT_FUEL, externals=None,
     env = {}
     for name, arg in zip(graph.import_names, graph.root.args):
         if arg.ty.kind == "fn":
-            env[arg] = FnValue(name, external=True)
+            env[arg] = FnValue(name)
         else:
             env[arg] = global_addr(name)
     machine.mute = True

@@ -25,9 +25,6 @@ COMMUTATIVE = frozenset(("add", "mul", "and", "or", "xor", "eq", "ne"))
 # Operations that can neither trap nor touch state; safe to speculate.
 _STATEFUL = frozenset(("alloca", "load", "store", "apply"))
 _TRAPPING = frozenset(("div", "rem"))
-# Operations with an operand of another type than their own: a literal
-# there takes the type `operand_types` gives its position.
-MIXED_OPERANDS = frozenset(("gep", "load", "store"))
 
 
 class Trap(Exception):
@@ -233,7 +230,10 @@ def node_order(name, operands):
 def operand_types(name, ty):
     """The types of a simple instruction's operands, in its operand
     order: its node's value inputs by `SimpleOp.signature`, put back by
-    `node_order`.  Raises ValueError as the signature does."""
+    `node_order`.  A copy takes the type it declares.  Raises ValueError
+    as the signature does."""
+    if name == "copy":
+        return (ty,)
     ins = SimpleOp(name, ty).signature()[0]
     return tuple(node_order(name, [t for t in ins if t.is_value]))
 

@@ -7,17 +7,19 @@ Typing rule (`check_module`).  A %variable has the one type its
 assignments declare, and an @name the type `Module.ref_type` gives it.
 Every operand position has one expected type, the type `construct`
 gives the port it fills, and a variable or @name there must have it
-(a literal takes it):
+(a literal takes it, and must have a value of it, a finite one at f64,
+since the printer spells no other):
 
-- a simple instruction's operand: its node's input by
-  `SimpleOp.signature`, put in operand order by `ops.node_order`; an
-  operation the signature does not define on its type is an error;
+- a simple instruction's operand: `ops.operand_types`, its node's
+  input by `SimpleOp.signature`, put in operand order by
+  `ops.node_order`; an operation the signature does not define on its
+  type is an error;
 - a phi entry: the phi's type;
 - copy and ret: the declared type, and a ret declares its function's
   result type (its global's, in an initializer);
 - a call argument: its declared parameter type;
-- the callee: a function with the declared parameter types, and the
-  declared result type when the call names a result.
+- the callee: a function, not a literal, with the declared parameter
+  types, and the declared result type when the call names a result.
 
 The one exception is the branch selector, which may be declared wider
 than its variable: the value is the same, and out-of-range selectors
@@ -27,6 +29,7 @@ reference each other in a cycle: `construct` builds a recursive group as
 a recursion environment of lambdas, so a global in a cycle is an error.
 """
 
+import math
 import re
 
 from . import ops
@@ -349,8 +352,6 @@ class Parser:
     def _parse_call(self, dest):
         ret_ty = self._result_type()
         callee = self.parse_operand()
-        if isinstance(callee, Lit):
-            self.error("callee must be a function value")
         args = self.parse_list(lambda: (self.parse_type(), self.parse_operand()))
         return Instr("call", dest=dest, ty=ret_ty,
                      operands=[o for _, o in args], callee=callee,
@@ -435,8 +436,10 @@ def _check_body(mod, ent):
                 raise SourceError("%s: reference to undefined %s"
                                   % (where, o))
         try:
-            ops.coerce_literal(o.value, ty)
+            value = ops.coerce_literal(o.value, ty)
         except (OverflowError, ValueError):
+            value = None
+        if value is None or ty is F64 and not math.isfinite(value):
             raise SourceError("%s: literal %s has no %s value"
                               % (where, o, ty))
         return ty
@@ -456,9 +459,10 @@ def _check_body(mod, ent):
                 # a delta has no state edges to thread
                 raise SourceError("initializer of @%s uses stateful "
                                   "operation %s" % (where, i.op))
-            if i.op == "copy":
-                tys = (i.ty,)
-            elif i.op == "call":
+            if i.op == "call":
+                if i.callee.__class__ is Lit:
+                    raise SourceError("%s: callee %s must be a function "
+                                      "value" % (where, i.callee))
                 declared = fnty(i.arg_tys, [] if i.ty is None else [i.ty])
                 fty = type_of(i.callee, declared)
                 if fty.kind != "fn" or fty.params != declared.params or \

@@ -1,12 +1,15 @@
 """Local reductions: constant folding and algebraic simplification.
 
 Folds every pure operation whose inputs are all constants, through its
-`ops.SEMANTICS` function, and every match with a constant input;
+`ops.SEMANTICS` function, unless the result is an f64 infinity or NaN,
+which no literal spells; folds every match with a constant input;
 applies the usual identities (x+0, x*1, x*0, x-x and friends), and
 inlines the selected alternative of a gamma whose predicate is a
 constant.  The whole graph is rescanned for a bounded number of rounds
 because one reduction routinely enables the next.
 """
+
+import math
 
 from ..source import ARITH
 from ..ops import SEMANTICS, Trap, coerce_literal, const
@@ -68,6 +71,8 @@ def _reduce_simple(graph, node):
             v = op.select(vals[0]) if n == "match" else \
                 SEMANTICS[n, op.ty.kind](op.ty, *vals)
         except Trap:
+            return False
+        if v.__class__ is float and not math.isfinite(v):
             return False
         return _replace_with_const(graph, node, v, node.outputs[0].ty)
 

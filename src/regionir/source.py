@@ -26,7 +26,12 @@ class Lit:
     value: object
 
     def __str__(self):
-        return repr(self.value) if isinstance(self.value, float) else str(self.value)
+        """The literal as the tokenizer reads it back: a float keeps a
+        '.' in its mantissa (`1.0e+100`, not `1e+100`)."""
+        if not isinstance(self.value, float):
+            return str(self.value)
+        mant, e, exp = repr(self.value).partition("e")
+        return mant + (".0" if e and "." not in mant else "") + e + exp
 
 
 @dataclass(frozen=True)
@@ -246,34 +251,20 @@ def instr_writes(instr):
 
 # -- IPG ------------------------------------------------------------------
 
-def _body_refs(blocks):
-    seen = []
-    def note(o):
-        if isinstance(o, GlobalRef) and o.name not in seen:
-            seen.append(o.name)
-    for b in blocks:
-        for p in b.phis:
-            for o, _ in p.entries:
-                note(o)
-        for i in b.instrs:
-            for o in i.operands:
-                note(o)
-            if i.op == "call":
-                note(i.callee)
-        if isinstance(b.term, Branch):
-            note(b.term.operand)
-        elif isinstance(b.term, Ret) and b.term.operand is not None:
-            note(b.term.operand)
-    return seen
-
-
 def compute_ipg(module):
-    """Nodes per entity, an edge n1 -> n2 when n1's body references n2."""
+    """Nodes per entity, an edge n1 -> n2 when n1's body references n2,
+    each referenced name once, in the order `instr_reads` first reads it
+    over the phis, instructions and terminator of each block."""
     edges = {name: [] for name in module.order}
     for name in module.order:
         ent = module.functions.get(name) or module.globals_.get(name)
         if ent is not None and ent.blocks is not None:
-            edges[name] = [r for r in _body_refs(ent.blocks)]
+            refs = edges[name]
+            for b in ent.blocks:
+                for item in b.phis + b.instrs + [b.term]:
+                    for r in instr_reads(item):
+                        if r[0] == "@" and r[1:] not in refs:
+                            refs.append(r[1:])
     return edges
 
 

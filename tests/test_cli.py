@@ -113,6 +113,8 @@ ILL_TYPED = {
                    "f: %r = shl is not defined on f64"),
     "huge_literal.ir": (_F + "  %x = add i64 %a, 1.0e400\n  ret i64 %x\n}\n",
                         "f: literal inf has no i64 value"),
+    "huge_f64.ir": (_FF + "  %x = add f64 %a, 1.0e400\n  ret f64 %x\n}\n",
+                    "f: literal inf has no f64 value"),
 }
 
 
@@ -233,6 +235,44 @@ def test_internal_invariant_breakage_exits_three(monkeypatch, name):
     breakage(monkeypatch)
     code, _ = run_cli(cmd, corpus_path("gcd.ir"), *flags)
     assert code == 3
+
+
+def test_opt_output_with_folded_floats_reparses(tmp_path):
+    """[DERIVED] RED folds 1.0e100 * 1.0e100 to 1.0e+200, which prints
+    with a '.' in its mantissa, and leaves 1.0 / 0.0 unfolded, since no
+    literal spells +inf: the output of `opt` checks, and runs to the
+    same result as its input."""
+    src = tmp_path / "fold.ir"
+    src.write_text("export define f64 @f() {\ne:\n"
+                   "  %a = div f64 1.0, 0.0\n"
+                   "  %b = mul f64 1.0e100, 1.0e100\n"
+                   "  %c = add f64 %a, %b\n  ret f64 %c\n}\n")
+    code, text = run_cli("opt", str(src))
+    assert code == 0
+    assert "div f64 1.0, 0.0" in text and "1.0e+200" in text
+    out = tmp_path / "opt.ir"
+    out.write_text(text)
+    assert run_cli("check", str(out))[0] == 0
+    assert run_cli("run", str(out)) == run_cli("run", str(src))
+
+
+def test_endless_function_with_a_result(tmp_path):
+    """[DERIVED] A function with a result that no path returns passes
+    the check and constructs: its return value is an `undef` that never
+    runs.  It runs out of fuel at each level, and its round trip
+    closes."""
+    p = tmp_path / "spin.ir"
+    p.write_text("export define i64 @spin(i64 %x) {\nentry:\n"
+                 "  br label %loop\nloop:\n  %x = add i64 %x, 1\n"
+                 "  br label %loop\n}\n")
+    for level in ("cfg", "rvsdg", "both"):
+        code, text = run_cli("run", str(p), "--args", "1", "--fuel", "100",
+                             "--level", level)
+        assert (code, text.strip()) == (0, "trap: fuel"), level
+    code, text = run_cli("roundtrip", str(p), "--samples", "3",
+                         "--fuel", "100")
+    assert code == 0
+    assert "@spin: 3 samples ok" in text
 
 
 def test_opt_then_stats_shows_the_merged_multiplication(tmp_path):

@@ -7,6 +7,7 @@ before its plans were cached, and must not drift.
 """
 
 import gc
+import math
 import weakref
 
 import pytest
@@ -164,7 +165,8 @@ SEMANTICS_CASES = [
 def test_semantics_table(op, ty, operands, want):
     """[DERIVED] Each pure operation computes the hand-derived value in
     both interpreters, and RED folds it (DNE then drops the operation)
-    to a const carrying that value -- or leaves it when it traps.
+    to a const carrying that value -- or leaves it when it traps, or
+    when the value is an f64 infinity or NaN, which no literal spells.
     Function values have no literal, so an fn comparison is evaluated
     but has nothing for RED to fold."""
     rty = "i1" if op in CMP else "ptr" if op == "gep" else ty
@@ -181,7 +183,8 @@ def test_semantics_table(op, ty, operands, want):
     dne.run(g)
     body = g.export_origin("k").node.subregions[0]
     node = body.results[0].origin.node
-    if isinstance(want, tuple) or operands[0].startswith("@"):
+    if isinstance(want, tuple) or operands[0].startswith("@") \
+            or not math.isfinite(want):
         assert node.op.name == op
     else:
         assert [n.op.name for n in body.nodes] == ["const"]

@@ -8,13 +8,14 @@ import re
 
 import pytest
 
-from regionir import randprog, restructure
+from regionir import ops, randprog, restructure
 from regionir.build import construct
 from regionir.destruct import destruct
 from regionir.parser import (ParseError, SourceError, parse, check_module,
                              print_module)
-from regionir.source import Br, Branch, Ret, Var, idoms, retarget, successors
-from regionir.types import I64
+from regionir.source import (Block, Br, Branch, Function, Instr, Lit,
+                             Module, Ret, Var, idoms, retarget, successors)
+from regionir.types import F64, I64, PTR, intty
 from conftest import corpus_files, load_corpus
 
 
@@ -139,6 +140,50 @@ def test_call_with_other_types_than_the_callee_rejected(call):
               "  ret i64 %r\n}\ndefine () @v() {\ne:\n  ret\n}\n"
               "export define i64 @f() {\ne:\n  " + call + "\n"
               "  ret i64 %x\n}\n")
+
+
+def test_operand_types_of_every_simple_instruction():
+    """[DERIVED] One table types the operands of every instruction but a
+    call, the checker's and the interpreter's: a copy takes the type it
+    declares, a store its value then its address, gep a pointer and an
+    i64 index."""
+    i8 = intty(8)
+    assert ops.operand_types("copy", i8) == (i8,)
+    assert ops.operand_types("add", i8) == (i8, i8)
+    assert ops.operand_types("neg", F64) == (F64,)
+    assert ops.operand_types("load", i8) == (PTR,)
+    assert ops.operand_types("store", i8) == (i8, PTR)
+    assert ops.operand_types("gep", F64) == (PTR, I64)
+    assert ops.operand_types("alloca", i8) == ()
+
+
+def test_literal_callee_rejected():
+    """[TRIVIAL] The checker, not only the parser, refuses a literal
+    callee: a hand-built module that calls 5 is bad input, where
+    `construct` would fail on it with an AttributeError."""
+    call = Instr("call", dest="r", ty=I64, operands=[Var("a")],
+                 callee=Lit(5), arg_tys=[I64])
+    fn = Function("f", [("a", I64)], I64, export=True,
+                  blocks=[Block("e", instrs=[call], term=Ret(I64, Var("r")))])
+    with pytest.raises(SourceError, match="callee 5 must be a function"):
+        check_module(Module(functions={"f": fn}, order=["f"]))
+    with pytest.raises(SourceError, match="callee 5 must be a function"):
+        parse("export define i64 @f(i64 %a) {\ne:\n"
+              "  %r = call i64 5(i64 %a)\n  ret i64 %r\n}\n")
+
+
+@pytest.mark.parametrize("literal", ["1.0e100", "1.5e-07", "-0.0"])
+def test_f64_literals_print_and_parse_back(literal):
+    """[DERIVED] An f64 literal prints as the tokenizer reads it back,
+    with a '.' in its mantissa (`1.0e+100`), and keeps its value and
+    sign: printing a parsed module is a fixpoint."""
+    text = ("export define f64 @f(f64 %a) {\ne:\n  %x = add f64 %a, "
+            + literal + "\n  ret f64 %x\n}\n")
+    printed = print_module(parse(text))
+    again = parse(printed)
+    assert print_module(again) == printed
+    value = again.functions["f"].blocks[0].instrs[0].operands[1].value
+    assert value.hex() == float(literal).hex()
 
 
 def test_call_may_drop_the_result():
