@@ -21,19 +21,24 @@ indices): each affected port list is filtered and renumbered once per
 batch, not once per removed index.
 
 `validate` runs after construction and after every pass, so it is
-kept cheap.  Types are interned (`types`), so a type compare is a
-pointer test and a compare of two type lists runs in C: a simple node's
-port types are compared with its operation's signature as two tuples,
-and each gamma alternative's argument and result types with the gamma's
-entry and exit types as two lists.  Only a node that fails such a
-compare, or one of another kind, goes through the check by check
+kept cheap.  After construction and after a schedule's last pass it
+walks the whole graph; after the other passes, `validate(changed_only=
+True)` checks only the regions edited since the last clean check, and
+their owners' signatures.  Types are interned (`types`), so a type
+compare is a pointer test and a compare of two type lists runs in C: a
+simple node's port types are compared with its operation's signature as
+two tuples, and each gamma alternative's argument and result types with
+the gamma's entry and exit types as two lists.  Only a node that fails
+such a compare, or one of another kind, goes through the check by check
 `_check_node`, which words the messages.  An edge's two ends are
 compared the same way, and only a failing one goes through `_check_use`.
 
 Every edit goes through a few primitives -- `connect`, `disconnect`,
-`divert_users`, node creation, `remove_node` and batch port removal --
-and each bumps `Graph.version`, so a cache of facts derived from the
-graph (the interpreter's region plans) can tell that it is stale.
+`divert_users`, region, node and port creation, `add_ctx`,
+`remove_node` and batch port removal -- and each goes through `_touch`:
+it bumps `Graph.version`, so a cache of facts derived from the graph
+(the interpreter's region plans) can tell that it is stale, and it marks
+the region it edits for `validate`.
 """
 
 import heapq
@@ -145,6 +150,7 @@ class Graph:
         self.root_node = Node(self._take(), None, "omega")
         self.root = Region(self._take(), owner=self.root_node)
         self.root_node.subregions.append(self.root)
+        self._dirty = {self.root}   # regions edited since the last clean check
         self.import_names = []      # parallel to root.args
         self.export_names = []      # parallel to root.results
 
@@ -152,21 +158,27 @@ class Graph:
         self._next += 1
         return self._next - 1
 
+    def _touch(self, region):
+        """Record an edit in `region`: the version moves on and the region
+        is marked for `validate(changed_only=True)`."""
+        self.version += 1
+        self._dirty.add(region)
+
     # -- edges ------------------------------------------------------------
 
     def connect(self, use, port):
+        self._touch(use.region)
         if use.ty != port.ty:
             raise GraphError("type mismatch: %s vs %s at %r" % (use.ty, port.ty, use))
         if use.region is not port.region:
             raise GraphError("cross-region edge %r -> %r" % (port, use))
         if use.origin is not None:
             self.disconnect(use)
-        self.version += 1
         use.origin = port
         port.users.append(use)
 
     def disconnect(self, use):
-        self.version += 1
+        self._touch(use.region)
         if use.origin is not None:
             use.origin.users.remove(use)
             use.origin = None
@@ -179,7 +191,7 @@ class Graph:
             raise GraphError("divert type mismatch: %s vs %s" % (old.ty, new.ty))
         if old.region is not new.region:
             raise GraphError("cross-region diversion %r -> %r" % (old, new))
-        self.version += 1
+        self._touch(old.region)
         moved = old.users
         old.users = []
         for use in moved:
@@ -192,10 +204,11 @@ class Graph:
     def _new_region(self, owner, index):
         r = Region(self._take(), owner=owner, owner_index=index)
         owner.subregions.append(r)
+        self._touch(r)
         return r
 
     def _new_node(self, region, kind, op=None, name=None):
-        self.version += 1
+        self._touch(region)
         n = Node(self._take(), region, kind, op=op, name=name)
         region.nodes.append(n)
         return n
@@ -209,16 +222,19 @@ class Graph:
     def _add_output(self, node, ty):
         port = Port(ty, len(node.outputs), node=node, region=node.region)
         node.outputs.append(port)
+        self._touch(node.region)
         return port
 
     def _add_arg(self, region, ty):
         port = Port(ty, len(region.args), region=region)
         region.args.append(port)
+        self._touch(region)
         return port
 
     def _add_result(self, region, ty, origin=None):
         use = Use(ty, len(region.results), region=region)
         region.results.append(use)
+        self._touch(region)
         if origin is not None:
             self.connect(use, origin)
         return use
@@ -303,6 +319,7 @@ class Graph:
         arg = Port(origin.ty, node.n_ctx, region=body)
         body.args.insert(node.n_ctx, arg)
         _renumber(body.args)
+        self._touch(body)
         node.n_ctx += 1
         return arg
 
@@ -368,7 +385,7 @@ class Graph:
         for out in node.outputs:
             if out.users:
                 raise GraphError("removing %r whose output still has users" % node)
-        self.version += 1
+        self._touch(node.region)
         for use in node.inputs:
             self.disconnect(use)
         for sub in node.subregions:
@@ -399,12 +416,12 @@ class Graph:
                 if items[i].users:
                     raise GraphError("removing %r, which still has users"
                                      % items[i])
-        self.version += 1
         for items, idxs in uses:
             for i in idxs:
                 self.disconnect(items[i])
         for items, idxs in list(ports) + list(uses):
             if idxs:
+                self._touch(items[0].region)
                 items[:] = [p for i, p in enumerate(items) if i not in idxs]
                 _renumber(items)
 
@@ -496,50 +513,87 @@ class Graph:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self):
+    def validate(self, changed_only=False):
         """Check every structural invariant; returns all violations, in
-        walk order.  Cycles are found by `topological_order`."""
+        walk order, and clears the edit marks when there are none.
+        Cycles are found by `topological_order`.
+
+        With `changed_only`, only the regions edited since the last clean
+        check are checked, with their owners' signatures.  That covers
+        every check an edit can change: each check reads one region, or
+        one node's ports with its subregions, and every edit marks the
+        region it touches.  If anything is wrong, the result is the full
+        walk's, so the messages do not depend on which form ran."""
         bad = []
-        for region in self.regions():
-            rid = region.id
-            for i, a in enumerate(region.args):
-                if a.index != i or a.region is not region or a.node is not None:
-                    bad.append("argument bookkeeping broken in region %d" % rid)
-            for i, res in enumerate(region.results):
-                if res.index != i or res.region is not region:
-                    bad.append("result bookkeeping broken in region %d" % rid)
-                p = res.origin
-                if (p is None or res.ty is not p.ty or p.region is not region
-                        or res not in p.users):
-                    _check_use(res, region, bad)
-            last = -1
-            for n in region.nodes:
-                nid = n.id
-                if nid <= last:
-                    bad.append("node %d out of id order in region %d" % (nid, rid))
-                last = nid
-                if n.region is not region:
-                    bad.append("node %d in wrong region" % nid)
-                for i, use in enumerate(n.inputs):
-                    if use.index != i:
-                        bad.append("input index broken on node %d" % nid)
-                    p = use.origin
-                    if (p is None or use.ty is not p.ty or p.region is not region
-                            or use not in p.users):
-                        _check_use(use, region, bad)
-                for i, out in enumerate(n.outputs):
-                    if out.index != i or out.region is not region:
-                        bad.append("output bookkeeping broken on node %d" % nid)
-                    for u in out.users:
-                        if u.origin is not out:
-                            bad.append("user list broken on node %d" % nid)
-                if not _plainly_typed(n):
-                    self._check_node(n, bad)
-            try:
-                self.topological_order(region)
-            except GraphError as e:
-                bad.append(str(e))
+        if changed_only:
+            dirty = self._dirty
+            owners = set()
+            for region in dirty:
+                if self._attached(region):
+                    self._check_region(region, bad)
+                    owners.add(region.owner)
+            for owner in owners:
+                # an owner in a checked region has been checked with it
+                if (owner.region is not None and owner.region not in dirty
+                        and not _plainly_typed(owner)):
+                    self._check_node(owner, bad)
+            if bad:
+                return self.validate()
+        else:
+            for region in self.regions():
+                self._check_region(region, bad)
+        if not bad:
+            self._dirty.clear()
         return bad
+
+    def _attached(self, region):
+        """Whether `region` is still in the graph: its owners' chain
+        reaches the omega region.  A removed node's region is None."""
+        while region is not self.root:
+            region = region.owner.region
+            if region is None:
+                return False
+        return True
+
+    def _check_region(self, region, bad):
+        rid = region.id
+        for i, a in enumerate(region.args):
+            if a.index != i or a.region is not region or a.node is not None:
+                bad.append("argument bookkeeping broken in region %d" % rid)
+        for i, res in enumerate(region.results):
+            if res.index != i or res.region is not region:
+                bad.append("result bookkeeping broken in region %d" % rid)
+            p = res.origin
+            if (p is None or res.ty is not p.ty or p.region is not region
+                    or res not in p.users):
+                _check_use(res, region, bad)
+        last = -1
+        for n in region.nodes:
+            nid = n.id
+            if nid <= last:
+                bad.append("node %d out of id order in region %d" % (nid, rid))
+            last = nid
+            if n.region is not region:
+                bad.append("node %d in wrong region" % nid)
+            for i, use in enumerate(n.inputs):
+                if use.index != i:
+                    bad.append("input index broken on node %d" % nid)
+                p = use.origin
+                if (p is None or use.ty is not p.ty or p.region is not region
+                        or use not in p.users):
+                    _check_use(use, region, bad)
+            for i, out in enumerate(n.outputs):
+                if out.index != i or out.region is not region:
+                    bad.append("output bookkeeping broken on node %d" % nid)
+                for u in out.users:
+                    if u.origin is not out:
+                        bad.append("user list broken on node %d" % nid)
+            if not _plainly_typed(n):
+                self._check_node(n, bad)
+        try:
+            self.topological_order(region)
+        except GraphError as e:
+            bad.append(str(e))
 
     def _check_node(self, n, bad):
         nid = n.id

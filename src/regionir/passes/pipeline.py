@@ -1,9 +1,11 @@
 """Pass manager.
 
 Runs a sequence of named passes over the graph, validating the
-structural invariants after each one.  The default order interleaves
-the cleanup passes (INV, DNE) between the structural rewrites, since
-almost every rewrite leaves pass-through plumbing behind.
+structural invariants after each one: the regions the step edited after
+every step but the last, and the whole graph after the last.  The
+default order interleaves the cleanup passes (INV, DNE) between the
+structural rewrites, since almost every rewrite leaves pass-through
+plumbing behind.
 """
 
 from dataclasses import dataclass, field
@@ -50,20 +52,23 @@ def node_count(graph):
 
 def run_pipeline(graph, config=None):
     """Run the configured passes; returns per-step statistics as a list
-    of (pass name, nodes before, nodes after)."""
+    of (pass name, nodes before, nodes after).  A step that leaves the
+    graph broken raises `PassError`, numbered as in `format_stats`."""
     config = config or PassConfig()
     steps = []
     after = node_count(graph)
-    for name in config.passes:
+    last = len(config.passes) - 1
+    for i, name in enumerate(config.passes):
         fn = PASSES[name]
         before = after
         if name == "URL":
             fn(graph, factor=config.unroll_factor)
         else:
             fn(graph)
-        bad = graph.validate()
+        bad = graph.validate(changed_only=i < last)
         if bad:
-            raise PassError("%s broke the graph: %s" % (name, "; ".join(bad)))
+            raise PassError("step %02d (%s) broke the graph: %s"
+                            % (i, name, "; ".join(bad)))
         after = node_count(graph)
         steps.append((name, before, after))
     return steps

@@ -237,6 +237,22 @@ def test_internal_invariant_breakage_exits_three(monkeypatch, name):
     assert code == 3
 
 
+def test_pass_breaking_the_graph_mid_schedule_exits_three(monkeypatch,
+                                                        capsys):
+    """[TRIVIAL] A pass that leaves the graph broken in the middle of the
+    default schedule is an internal error named by its step."""
+    def breaking(g):
+        gamma = next(n for n in g.all_nodes() if n.kind == "gamma")
+        g._add_arg(gamma.subregions[0], gamma.inputs[0].ty)
+
+    monkeypatch.setitem(cli.run_pipeline.__globals__["PASSES"], "PSH",
+                        breaking)
+    code, _ = run_cli("opt", corpus_path("collatz.ir"))
+    assert code == 3
+    assert "internal error: step 07 (PSH) broke the graph" in \
+        capsys.readouterr().err
+
+
 def test_opt_output_with_folded_floats_reparses(tmp_path):
     """[DERIVED] RED folds 1.0e100 * 1.0e100 to 1.0e+200, which prints
     with a '.' in its mantissa, and leaves 1.0 / 0.0 unfolded, since no

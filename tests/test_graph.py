@@ -17,7 +17,8 @@ from regionir.passes.pipeline import PASSES
 from regionir import ops, randprog
 from regionir.types import I1, I32, I64, ctl, fnty
 
-from conftest import corpus_files, load_corpus, ports_and_uses
+from conftest import (LADDER, corpus_files, load_corpus, load_source,
+                      ports_and_uses)
 
 
 def _simple_fn():
@@ -751,3 +752,139 @@ def test_topological_order_sorts_a_node_list_out_of_id_order():
     assert g.topological_order(body) == [n, c] == _kahn(body)
     assert g.validate() == ["node %d out of id order in region %d"
                             % (n.id, body.id)]
+
+
+# -- validating what changed --------------------------------------------------
+
+def _key(p):
+    return None if p is None else (p.sort_key(), p.ty)
+
+
+def _fingerprints(g):
+    """Everything each region's checks read, by region id: its nodes with
+    their port lists (input origins, output types and users), its
+    arguments with their users and its results with their origins."""
+    return {r.id: ([(n.id, n.kind, n.n_ctx, [_key(u.origin) for u in n.inputs],
+                     [u.ty for u in n.inputs],
+                     [(o.ty, [u.sort_key() for u in o.users])
+                      for o in n.outputs]) for n in r.nodes],
+                   [(a.ty, [u.sort_key() for u in a.users]) for a in r.args],
+                   [(res.ty, _key(res.origin)) for res in r.results])
+            for r in g.regions()}
+
+
+@pytest.mark.parametrize("source", corpus_files() + LADDER)
+def test_every_edited_region_is_marked(source):
+    """[DERIVED] After each step of the default schedule, every region
+    whose contents changed, and every new one, is marked as edited, and
+    both forms of `validate` find the graph clean."""
+    g = construct(load_source(source))
+    assert g.validate() == []
+    config = PassConfig()
+    before = _fingerprints(g)
+    for i, name in enumerate(config.passes):
+        if name == "URL":
+            PASSES[name](g, factor=config.unroll_factor)
+        else:
+            PASSES[name](g)
+        after = _fingerprints(g)
+        changed = {rid for rid, fp in after.items() if before.get(rid) != fp}
+        marked = {r.id for r in g._dirty}
+        assert changed <= marked, "step %d (%s): regions %s unmarked" % (
+            i, name, sorted(changed - marked))
+        assert g.validate(changed_only=True) == [], (i, name)
+        assert g.validate() == [], (i, name)
+        before = after
+
+
+def _nest():
+    """A lambda holding a theta holding a gamma: f(p, v) loops once,
+    adding 1 to v when p holds."""
+    g = Graph()
+    z = SimpleNamespace(g=g)
+    z.lam = g.begin_lambda(g.root, "f")
+    z.body = z.lam.subregions[0]
+    p = g.lambda_add_param(z.lam, I1)
+    v = g.lambda_add_param(z.lam, I64)
+    z.th = g.begin_theta(z.body)
+    (lp, _), (lv, out) = (g.theta_add_loopvar(z.th, p),
+                          g.theta_add_loopvar(z.th, v))
+    z.tbody = z.th.subregions[0]
+    m = g.add_simple(z.tbody, ops.identity_match(I1, 2), [lp])
+    z.gam = g.begin_gamma(z.tbody, m.outputs[0], 2)
+    ev = g.gamma_add_entry(z.gam, lv)
+    z.sub0, z.sub1 = z.gam.subregions
+    z.one = g.add_simple(z.sub1, ops.const(1, I64), [])
+    z.add = g.add_simple(z.sub1, ops.binop("add", I64),
+                         [ev[1], z.one.outputs[0]])
+    gout = g.gamma_add_exit(z.gam, [ev[0], z.add.outputs[0]])
+    stop = g.add_simple(z.tbody, ops.const(0, I1), [])
+    tm = g.add_simple(z.tbody, ops.identity_match(I1, 2), [stop.outputs[0]])
+    g.theta_set_predicate(z.th, tm.outputs[0])
+    g.theta_set_result(z.th, 0, lp)
+    g.theta_set_result(z.th, 1, gout)
+    g.lambda_finish(z.lam, [out])
+    g.omega_add_export("f", z.lam.outputs[0])
+    return z
+
+
+# Each fault goes through one edit primitive and breaks an invariant.
+FAULTS = {
+    "arg_on_one_alternative": lambda z: z.g._add_arg(z.sub0, I64),
+    "result_on_theta_body": lambda z: z.g._add_result(z.tbody, I64),
+    "disconnected_result": lambda z: z.g.disconnect(z.body.results[0]),
+    "cycle_by_connect": lambda z: z.g.connect(z.add.inputs[0],
+                                              z.add.outputs[0]),
+    "cycle_by_divert": lambda z: z.g.divert_users(z.one.outputs[0],
+                                                  z.add.outputs[0]),
+    "gamma_output": lambda z: z.g._add_output(z.gam, I64),
+    "extra_input": lambda z: z.g._add_input(z.add, z.one.outputs[0]),
+    "second_theta_region": lambda z: z.g._new_region(z.th, 1),
+    "bare_node": lambda z: z.g._new_node(z.sub0, "simple",
+                                         op=ops.const(2, I64)),
+    "ctx_on_gamma": lambda z: z.g.add_ctx(z.gam, z.tbody.args[0]),
+    "alternative_result_dropped": lambda z: z.g._drop_ports(
+        uses=[(z.sub1.results, {0})]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_changed_only_validate_reports_each_fault(fault):
+    """[DERIVED] A fault made through an edit primitive on a clean graph
+    is found by the changed-regions check, which then reports exactly
+    what the full walk does, and keeps reporting it until it is gone."""
+    z = _nest()
+    assert z.g.validate() == []
+    FAULTS[fault](z)
+    bad = z.g.validate(changed_only=True)
+    assert bad != []
+    assert bad == z.g.validate()
+    assert z.g.validate(changed_only=True) == bad
+
+
+def test_add_ctx_marks_the_node_region_and_its_body():
+    """[TRIVIAL] A context variable adds an input to the lambda and an
+    argument to its body, so both regions are marked."""
+    z = _nest()
+    imp = z.g.omega_add_import("x", I64)
+    assert z.g.validate() == []
+    z.g.add_ctx(z.lam, imp)
+    assert z.g._dirty == {z.g.root, z.body}
+    assert z.g.validate(changed_only=True) == []
+
+
+def test_changed_only_validate_skips_removed_regions():
+    """[DERIVED] Edits inside a node that is then removed leave marks on
+    regions no longer in the graph; those are not checked, and a clean
+    check clears them."""
+    z = _nest()
+    assert z.g.validate() == []
+    z.g._add_arg(z.sub0, I64)
+    users = list(z.gam.outputs[0].users)
+    for use in users:
+        z.g.connect(use, z.tbody.args[1])
+    z.g.remove_node(z.gam)
+    assert z.sub0 in z.g._dirty
+    assert z.g.validate(changed_only=True) == []
+    assert z.g._dirty == set()
+    assert z.g.validate() == []

@@ -659,6 +659,32 @@ def test_pipeline_reports_per_step_stats():
     assert "step01.nodes_after=%d" % node_count(g) in text
 
 
+def test_pipeline_names_the_step_that_broke_the_graph(monkeypatch):
+    """[DERIVED] A pass that breaks the graph mid-schedule is caught by
+    the changed-regions check right after it runs, and the error names
+    its step as `format_stats` numbers it, since a schedule may run the
+    same pass several times."""
+    ran = []
+
+    def breaking(g):
+        gamma = next(n for n in g.all_nodes() if n.kind == "gamma")
+        g._add_arg(gamma.subregions[0], I64)
+
+    def counting(g):
+        ran.append("DNE")
+        dne.run(g)
+
+    monkeypatch.setitem(PASSES, "PSH", breaking)
+    monkeypatch.setitem(PASSES, "DNE", counting)
+    g = build(load_corpus("collatz.ir"))
+    schedule = DEFAULT_ORDER.split()
+    with pytest.raises(PassError) as err:
+        run_pipeline(g, PassConfig(passes=schedule))
+    assert schedule.index("PSH") == 7
+    assert str(err.value).startswith("step 07 (PSH) broke the graph: gamma ")
+    assert ran == ["DNE"] * schedule[:7].count("DNE")
+
+
 def test_full_pipeline_preserves_behavior_on_tricky_fixtures():
     """[DERIVED] The default schedule keeps the oracle happy on the
     fixtures that exercise every structural feature at once."""
