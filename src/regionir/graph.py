@@ -37,8 +37,12 @@ Every edit goes through a few primitives -- `connect`, `disconnect`,
 `divert_users`, region, node and port creation, `add_ctx`,
 `remove_node` and batch port removal -- and each goes through `_touch`:
 it bumps `Graph.version`, so a cache of facts derived from the graph
-(the interpreter's region plans) can tell that it is stale, and it marks
-the region it edits for `validate`.
+(the interpreter's region plans) can tell that it is stale, it marks
+the region it edits for `validate`, and it drops that region's cached
+topological order.  A region keeps its order from the first
+`topological_order` call until the next edit in it, so the passes, the
+interpreter's plans and `validate`'s cycle check share one sort per
+region per edit; no module outside this one edits a graph.
 """
 
 import heapq
@@ -101,7 +105,8 @@ class Use:
 
 
 class Region:
-    __slots__ = ("id", "owner", "owner_index", "args", "results", "nodes")
+    __slots__ = ("id", "owner", "owner_index", "args", "results", "nodes",
+                 "order")
 
     def __init__(self, rid, owner=None, owner_index=0):
         self.id = rid
@@ -110,6 +115,7 @@ class Region:
         self.args = []
         self.results = []
         self.nodes = []             # creation (= id) order
+        self.order = None           # cached `topological_order`, if any
 
     def __repr__(self):
         return "Region(%d)" % self.id
@@ -159,10 +165,12 @@ class Graph:
         return self._next - 1
 
     def _touch(self, region):
-        """Record an edit in `region`: the version moves on and the region
-        is marked for `validate(changed_only=True)`."""
+        """Record an edit in `region`: the version moves on, the region
+        is marked for `validate(changed_only=True)`, and its cached
+        topological order is dropped."""
         self.version += 1
         self._dirty.add(region)
+        region.order = None
 
     # -- edges ------------------------------------------------------------
 
@@ -395,6 +403,7 @@ class Graph:
         node.region = None
 
     def _teardown_region(self, region):
+        self._touch(region)
         for res in region.results:
             self.disconnect(res)
         for inner in list(region.nodes):
@@ -466,34 +475,12 @@ class Graph:
     def topological_order(self, region):
         """Producer-before-consumer order, ties broken by ascending id.
         When the nodes are in id order and every in-region edge runs
-        from a lower id to a higher one, that order is `region.nodes`."""
-        if _forward(region):
-            return list(region.nodes)
-        pending = {}
-        consumers = {}
-        for n in region.nodes:
-            deps = set()
-            for use in n.inputs:
-                p = use.origin
-                if p is not None and p.node is not None and p.node.region is region:
-                    deps.add(p.node.id)
-            pending[n.id] = deps
-            for d in deps:
-                consumers.setdefault(d, set()).add(n.id)
-        by_id = {n.id: n for n in region.nodes}
-        ready = [nid for nid, deps in pending.items() if not deps]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            nid = heapq.heappop(ready)
-            order.append(by_id[nid])
-            for c in consumers.get(nid, ()):
-                pending[c].discard(nid)
-                if not pending[c]:
-                    heapq.heappush(ready, c)
-        if len(order) != len(region.nodes):
-            raise GraphError("cycle among nodes of region %d" % region.id)
-        return order
+        from a lower id to a higher one, that order is `region.nodes`.
+        The list is kept on the region until an edit touches it, and is
+        shared by every caller until then: read it, never change it."""
+        if region.order is None:
+            region.order = _sort(region)
+        return region.order
 
     def regions(self, region=None):
         """`region` (by default the omega region) and every region nested
@@ -737,6 +724,39 @@ def _plainly_typed(n):
     exit_ = list(map(_getty, n.outputs))
     return all(r.owner is n and list(map(_getty, r.args)) == entry
                and list(map(_getty, r.results)) == exit_ for r in subs)
+
+
+def _sort(region):
+    """`region`'s nodes, producers first, ties broken by ascending id:
+    `region.nodes` itself when it already is such an order, otherwise
+    Kahn's algorithm with a min-heap of ready ids."""
+    if _forward(region):
+        return list(region.nodes)
+    pending = {}
+    consumers = {}
+    for n in region.nodes:
+        deps = set()
+        for use in n.inputs:
+            p = use.origin
+            if p is not None and p.node is not None and p.node.region is region:
+                deps.add(p.node.id)
+        pending[n.id] = deps
+        for d in deps:
+            consumers.setdefault(d, set()).add(n.id)
+    by_id = {n.id: n for n in region.nodes}
+    ready = [nid for nid, deps in pending.items() if not deps]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(by_id[nid])
+        for c in consumers.get(nid, ()):
+            pending[c].discard(nid)
+            if not pending[c]:
+                heapq.heappush(ready, c)
+    if len(order) != len(region.nodes):
+        raise GraphError("cycle among nodes of region %d" % region.id)
+    return order
 
 
 def _forward(region):

@@ -19,6 +19,10 @@ every trace event intact.
 The surviving representative of a congruence class is the port with the
 lowest sort key (region arguments first, then node ids ascending);
 everything else is diverted onto it and left for dead node elimination.
+An argument without users is neither merged nor diverted, since no use
+reads its class; most arguments of gamma alternatives are such.  The
+first congruent entry stays the representative whether or not it is
+read, so every class a use can see is the same as with them merged.
 """
 
 
@@ -81,15 +85,16 @@ def _mark(graph, region, uf):
 
 def _merge_args(uf, uses, regions):
     """Make argument l of every region in `regions` congruent to the
-    first argument fed by an origin congruent to `uses[l]`'s."""
+    first argument fed by an origin congruent to `uses[l]`'s.  An
+    argument without users is left alone: nothing reads its class."""
     seen = {}
     for l, use in enumerate(uses):
         rep = uf.find(use.origin)
-        if rep in seen:
+        first = seen.setdefault(rep, l)
+        if first != l:
             for sub in regions:
-                uf.union(sub.args[seen[rep]], sub.args[l])
-        else:
-            seen[rep] = l
+                if sub.args[l].users:
+                    uf.union(sub.args[first], sub.args[l])
 
 
 def _mark_gamma(graph, node, uf):
@@ -137,9 +142,10 @@ def _mark_theta(graph, node, uf):
 
 def _divert(graph, region, uf):
     for arg in region.args:
-        rep = uf.find(arg)
-        if rep is not arg:
-            graph.divert_users(arg, rep)
+        if arg.users:
+            rep = uf.find(arg)
+            if rep is not arg:
+                graph.divert_users(arg, rep)
     for node in graph.topological_order(region):
         for out in node.outputs:
             rep = uf.find(out)

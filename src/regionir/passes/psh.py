@@ -1,101 +1,114 @@
 """Push invariant nodes out of gammas and thetas.
 
-A stateless simple node inside a theta whose inputs all come from
-invariant loop variables (or from other nodes already pushed out) is
-recomputed once in the enclosing region; its value re-enters the body
-through a pass-through loop variable.  The same applies to a gamma
-alternative, with the value re-entering through an entry variable --
-but only for operations that cannot trap, since hoisting past the
-predicate makes them execute unconditionally.
+A stateless simple node with users is recomputed once, in the outermost
+region where its operands are available: the innermost of its operands'
+home regions.  An operand's home is found by following it outward from
+the node's region: a gamma alternative's argument stands for the gamma's
+input, a theta body's invariant argument (its result is itself) for the
+theta's input, and any other port -- a node output, a loop variable that
+changes, a function parameter -- is at home where it is.  This stops at
+the enclosing lambda, delta or phi body, and for an operation that
+can trap at the innermost enclosing gamma alternative: a theta body runs
+at least once, so leaving it executes nothing new, while hoisting past a
+gamma's predicate would execute the operation unconditionally.
 
-Each value is hoisted once per region.  A run keeps one memo keyed by
-(target region, operation, operand ports), so two alternatives, two
-body nodes or two sibling gammas that hoist the same value share one
-copy; a gamma gains one entry variable, and a theta one loop variable,
-per hoisted outer port.  The memo is only looked up, never iterated,
-so keying it by port identity keeps the output deterministic.  It
-stays valid for the whole run: the walk is innermost-first, so nothing
-is hoisted into a region whose structural nodes are done.
+The copy's value re-enters the node's region through one entry variable
+(gamma) or pass-through loop variable (theta) per level, and the node's
+users read it from there; the original is left, unused, for dead node
+elimination.  Regions are walked outside-in, so an operand hoisted
+earlier already reads its route argument, and its home lies outward.
 
-Chains hoist in a single run: each body is scanned in topological
-order, so a node freed up by an earlier hoist is caught in the same
-scan.  A node without users is not copied, which leaves the hoisted
-originals, now unused, for dead node elimination and makes a second
-run add nothing.
+Copies are shared per (target region, operation, operand ports), so two
+alternatives, two body nodes or two sibling gammas that hoist the same
+value share one copy; routes are shared per (structural node, outer
+port), so a gamma gains one entry variable, and a theta one loop
+variable, per value it passes in.  Both memos are only looked up, never
+iterated, so keying them by port identity keeps the output
+deterministic.  A region's own nodes are handled before its structural
+nodes' subregions, in topological order, and the structural nodes in id
+order, so copies land in each region in the order hoisting one level at
+a time, innermost first, would leave its surviving copies.  A node
+without users is not copied, so a second run adds nothing.
 """
+
+from ..rewrite import enter
 
 
 def run(graph):
-    _process(graph, graph.root, {})
+    _Hoister(graph).walk(graph.root, [], 0, 0)
 
 
-def _process(graph, region, memo):
-    for node in list(region.nodes):
-        if node.kind in ("lambda", "delta", "phi"):
-            _process(graph, node.subregions[0], memo)
-        elif node.kind == "theta":
-            _process(graph, node.subregions[0], memo)
-            _hoist_theta(graph, node, memo)
-        elif node.kind == "gamma":
-            for sub in node.subregions:
-                _process(graph, sub, memo)
-            _hoist_gamma(graph, node, memo)
+class _Hoister:
+    def __init__(self, graph):
+        self.graph = graph
+        self.copies = {}    # (region, op, operand ports) -> copy node
+        self.routes = {}    # (structural node, outer port) -> inner argument(s)
+
+    def walk(self, region, path, floor, trap_floor):
+        """Hoist what can leave `region`, then walk its subregions.
+        `path` holds the regions from the enclosing body down to
+        `region`'s parent; `floor` and `trap_floor` are the depths in it
+        of the outermost region a node may reach, any node and a
+        trapping one."""
+        path = path + [region]
+        depth = len(path) - 1
+        for node in self.graph.topological_order(region):
+            if node.kind == "simple" and not node.op.is_stateful \
+                    and any(p.users for p in node.outputs):
+                self.hoist(node, path, trap_floor if node.op.can_trap
+                           else floor)
+        for node in list(region.nodes):
+            if node.kind in ("lambda", "delta", "phi"):
+                self.walk(node.subregions[0], [], 0, 0)
+            elif node.kind == "theta":
+                self.walk(node.subregions[0], path, floor, trap_floor)
+            elif node.kind == "gamma":
+                for sub in node.subregions:
+                    self.walk(sub, path, floor, depth + 1)
+
+    def hoist(self, node, path, floor):
+        """Recompute `node` in the innermost home region of its operands,
+        no further out than depth `floor`, and divert its users to the
+        value routed back down."""
+        depth = len(path) - 1
+        chains = [_chain(u.origin, depth - floor) for u in node.inputs]
+        target = max([depth + 1 - len(c) for c in chains], default=floor)
+        if target == depth:
+            return
+        origins = [c[depth - target] for c in chains]
+        key = (path[target], node.op, tuple(origins))
+        copy = self.copies.get(key)
+        if copy is None:
+            copy = self.copies[key] = self.graph.add_simple(
+                path[target], node.op, origins)
+        for old, port in zip(node.outputs, copy.outputs):
+            for inner in path[target + 1:]:
+                port = self.route(inner, port)
+            self.graph.divert_users(old, port)
+
+    def route(self, inner, port):
+        """The argument of region `inner` that carries `port`, a port of
+        the region around it, adding an entry or loop variable to
+        `inner`'s owner the first time."""
+        key = (inner.owner, port)
+        args = self.routes.get(key)
+        if args is None:
+            args = self.routes[key] = enter(self.graph, inner.owner, port)
+        return args[inner.owner_index]
 
 
-def _hoistable(node, outer, speculated):
-    """Whether `node` can and should be recomputed from the outer ports
-    in `outer`; a `speculated` node must not trap."""
-    return node.kind == "simple" and not node.op.is_stateful \
-        and not (speculated and node.op.can_trap) \
-        and any(p.users for p in node.outputs) \
-        and all(u.origin in outer for u in node.inputs)
-
-
-def _copy(graph, memo, region, node, outer):
-    """The outputs of `node` recomputed in `region`; every hoist of the
-    same operation on the same ports into `region` shares the copy."""
-    origins = [outer[u.origin] for u in node.inputs]
-    key = (region, node.op, tuple(origins))
-    moved = memo.get(key)
-    if moved is None:
-        moved = memo[key] = graph.add_simple(region, node.op, origins)
-    return moved.outputs
-
-
-def _hoist_theta(graph, node, memo):
-    body = node.subregions[0]
-    outer = {}
-    for l in range(len(node.inputs)):
-        if body.results[l + 1].origin is body.args[l]:
-            outer[body.args[l]] = node.inputs[l].origin
-    loopvars = {}
-    for inner in graph.topological_order(body):
-        if not _hoistable(inner, outer, False):
-            continue
-        moved = _copy(graph, memo, node.region, inner, outer)
-        for old, new in zip(inner.outputs, moved):
-            arg = loopvars.get(new)
-            if arg is None:
-                arg, _ = graph.theta_add_loopvar(node, new)
-                graph.theta_set_result(node, len(node.inputs) - 1, arg)
-                loopvars[new] = arg
-                outer[arg] = new
-            graph.divert_users(old, arg)
-
-
-def _hoist_gamma(graph, node, memo):
-    entries = {}
-    for c, sub in enumerate(node.subregions):
-        outer = {}
-        for l, use in enumerate(node.inputs[1:]):
-            outer[sub.args[l]] = use.origin
-        for inner in graph.topological_order(sub):
-            if not _hoistable(inner, outer, True):
-                continue
-            moved = _copy(graph, memo, node.region, inner, outer)
-            for old, new in zip(inner.outputs, moved):
-                args = entries.get(new)
-                if args is None:
-                    args = entries[new] = graph.gamma_add_entry(node, new)
-                graph.divert_users(old, args[c])
-                outer[args[c]] = new
+def _chain(port, limit):
+    """`port` and the ports outside it that it stands for, innermost
+    first, at most `limit` levels out."""
+    chain = [port]
+    while len(chain) <= limit and port.node is None:
+        owner = port.region.owner
+        if owner.kind == "gamma":
+            port = owner.inputs[port.index + 1].origin
+        elif owner.kind == "theta" and \
+                owner.subregions[0].results[port.index + 1].origin is port:
+            port = owner.inputs[port.index].origin
+        else:
+            break
+        chain.append(port)
+    return chain

@@ -5,7 +5,8 @@ region, resolving inputs through a port map; `inline_region` copies a
 whole region with its arguments bound, the one way a pass inlines a
 gamma alternative, a loop body or a function; `route_to_region` threads a
 port from an enclosing region down into a nested one by growing context
-variables, entry variables, or pass-through loop variables along the way.
+variables, entry variables, or pass-through loop variables along the way,
+one level at a time through `enter`.
 """
 
 
@@ -80,16 +81,21 @@ def route_to_region(graph, port, region):
         r = r.owner.region
     cur = port
     for sub in reversed(path):
-        owner = sub.owner
-        if owner.kind in ("lambda", "delta", "phi"):
-            cur = graph.add_ctx(owner, cur)
-        elif owner.kind == "gamma":
-            args = graph.gamma_add_entry(owner, cur)
-            cur = args[sub.owner_index]
-        elif owner.kind == "theta":
-            arg, _ = graph.theta_add_loopvar(owner, cur)
-            graph.theta_set_result(owner, len(owner.inputs) - 1, arg)
-            cur = arg
-        else:
-            raise RewriteError("cannot route through a %s node" % owner.kind)
+        cur = enter(graph, sub.owner, cur)[sub.owner_index]
     return cur
+
+
+def enter(graph, node, port):
+    """Pass `port`, a port of `node`'s region, into `node`: as a context
+    variable of a lambda, delta or phi, an entry variable of a gamma, or
+    a pass-through loop variable of a theta.  Returns the argument that
+    carries it in each of `node`'s subregions."""
+    if node.kind in ("lambda", "delta", "phi"):
+        return [graph.add_ctx(node, port)]
+    if node.kind == "gamma":
+        return graph.gamma_add_entry(node, port)
+    if node.kind == "theta":
+        arg, _ = graph.theta_add_loopvar(node, port)
+        graph.theta_set_result(node, len(node.inputs) - 1, arg)
+        return [arg]
+    raise RewriteError("cannot route through a %s node" % node.kind)

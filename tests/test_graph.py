@@ -11,8 +11,8 @@ import pytest
 
 from regionir.build import construct
 from regionir.graph import Graph, GraphError, Port, Region, Use
-from regionir.parser import parse, check_module
-from regionir.passes import PassConfig
+from regionir.parser import parse
+from regionir.passes import PassConfig, run_pipeline
 from regionir.passes.pipeline import PASSES
 from regionir import ops, randprog
 from regionir.types import I1, I32, I64, ctl, fnty
@@ -697,25 +697,33 @@ def _assert_orders_match(g, where):
             "%s: region %d" % (where, region.id)
 
 
+def _checking_orders(name, fn):
+    """Pass `fn`, asserting first that every cached order is fresh."""
+    def run(graph, **kw):
+        _assert_orders_match(graph, "before %s" % name)
+        fn(graph, **kw)
+    return run
+
+
 @pytest.mark.parametrize("source", ["ladder:3", "ladder:7"] + corpus_files())
-def test_topological_order_matches_kahn(source):
-    """[DERIVED] On every region of every corpus program and both size-8
-    ladder programs, after construction and after each step of the
-    default schedule, the order equals the reference min-heap Kahn."""
+def test_topological_order_matches_kahn(source, monkeypatch):
+    """[DERIVED] A region keeps its order until an edit in it drops the
+    order.  On every region of every corpus program, and of the ladder
+    programs of seeds 3 and 7 at every size from 1 to 16, after
+    construction, after each step of the default schedule (with the
+    pipeline's own checks between steps) and after the last, the order
+    equals the reference min-heap Kahn computed from scratch."""
+    for name, fn in list(PASSES.items()):
+        monkeypatch.setitem(PASSES, name, _checking_orders(name, fn))
     if source.startswith("ladder:"):
-        mod = parse(randprog.generate(int(source[7:]), size=8))
-        check_module(mod)
+        mods = [parse(randprog.generate(int(source[7:]), size=size))
+                for size in range(1, 17)]
     else:
-        mod = load_corpus(source)
-    g = construct(mod)
-    _assert_orders_match(g, "construct")
-    config = PassConfig()
-    for i, name in enumerate(config.passes):
-        if name == "URL":
-            PASSES[name](g, factor=config.unroll_factor)
-        else:
-            PASSES[name](g)
-        _assert_orders_match(g, "step %d (%s)" % (i, name))
+        mods = [load_corpus(source)]
+    for mod in mods:
+        g = construct(mod)
+        run_pipeline(g)
+        _assert_orders_match(g, "after the schedule")
 
 
 def test_topological_order_puts_a_later_producer_first():

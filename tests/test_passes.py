@@ -380,6 +380,70 @@ def test_psh_shares_one_copy_and_one_loopvar_per_theta_value():
     _checked(mod, g, "shared theta hoists")
 
 
+def _psh_new_nodes(mod):
+    """The graph of `mod` after INV and PSH, its node count before PSH,
+    and the nodes PSH made."""
+    g = build(mod)
+    inv.run(g)
+    built, last = node_count(g), max(n.id for n in g.all_nodes())
+    psh.run(g)
+    return g, built, [n for n in g.all_nodes() if n.id > last]
+
+
+def test_psh_hoists_a_value_invariant_two_levels_deep_once():
+    """[DERIVED] In a loop, a branch adds the parameter %p to 5.  That
+    value is invariant in both the gamma and the theta, so PSH makes one
+    copy of it, in the lambda body, and none in the loop body; s + x,
+    which reads the loop's %s, gets one copy in the loop body.  After
+    DNE the graph has 21 nodes, the count that hoisting one level at a
+    time also reaches."""
+    mod = parse("export define i64 @f(i64 %p, i64 %n) {\n"
+                "e:\n  %i = copy i64 0\n  %s = copy i64 0\n"
+                "  %m = and i64 %n, 7\n  br label %h\n"
+                "h:\n  %c = lt i64 %i, 3\n  branch i1 %c, [%j, %t]\n"
+                "t:\n  %x = add i64 %p, 5\n  %s = add i64 %s, %x\n"
+                "  br label %j\n"
+                "j:\n  %i = add i64 %i, 1\n  %go = lt i64 %i, %m\n"
+                "  branch i1 %go, [%x, %h]\n"
+                "x:\n  ret i64 %s\n}")
+    g, built, made = _psh_new_nodes(mod)
+    (lam,) = [n for n in g.all_nodes() if n.kind == "lambda"]
+    (theta,) = [n for n in g.all_nodes() if n.kind == "theta"]
+    adds = [n for n in made if n.op.name == "add"]
+    in_body = [n for n in adds if n.region is lam.subregions[0]]
+    in_loop = [n for n in adds if n.region is theta.subregions[0]]
+    assert len(adds) == 2 and len(in_body) == len(in_loop) == 1
+    assert in_body[0].inputs[0].origin is lam.subregions[0].args[0]
+    dne.run(g)
+    assert built == node_count(g) == 21
+    _checked(mod, g, "two-level hoist")
+
+
+def test_psh_moves_a_trapping_op_out_of_a_loop_but_not_a_branch():
+    """[DERIVED] A loop inside a branch divides %p by %q.  The division
+    is invariant in both, but it may trap, so PSH copies it out of the
+    theta into the gamma alternative and no further.  After DNE the one
+    division left is that copy, and the graph has 20 nodes, the count
+    that hoisting one level at a time also reaches."""
+    mod = parse("export define i64 @f(i64 %p, i64 %q, i64 %n) {\n"
+                "e:\n  %i = copy i64 0\n  %s = copy i64 0\n"
+                "  %m = and i64 %n, 7\n"
+                "  %c = lt i64 %q, 0\n  branch i1 %c, [%h, %x]\n"
+                "h:\n  %d = div i64 %p, %q\n  %s = add i64 %s, %d\n"
+                "  %i = add i64 %i, 1\n  %go = lt i64 %i, %m\n"
+                "  branch i1 %go, [%x, %h]\n"
+                "x:\n  ret i64 %s\n}")
+    g, built, made = _psh_new_nodes(mod)
+    (theta,) = [n for n in g.all_nodes() if n.kind == "theta"]
+    (copy,) = [n for n in made if n.op.name == "div"]
+    assert copy.region is theta.region
+    assert copy.region.owner.kind == "gamma"
+    dne.run(g)
+    assert _ops(g, "div") == [copy]
+    assert built == node_count(g) == 20
+    _checked(mod, g, "trapping two-level hoist")
+
+
 def test_psh_second_run_adds_nothing(fixture_name):
     """[DERIVED] The originals a run hoists lose their users, and PSH
     copies no unused node, so a second run leaves the graph as is."""

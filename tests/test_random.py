@@ -71,25 +71,26 @@ def test_random_args_draw_sixteen_bit_ints_for_i64():
 
 def test_hoisting_twice_does_not_multiply_the_graph():
     """[DERIVED] An order that hoists out of unrolled, inverted loops
-    three times ends with 8,477 nodes.  A PSH that copies a value once
-    per alternative and per body node, not once per region, multiplies
-    the graph at every run and reaches 743,664."""
+    three times ends with 5,130 nodes (8,635 when PSH copies a value
+    once per nesting level).  A PSH that copies a value once per
+    alternative and per body node, not once per region, multiplies the
+    graph at every run and reaches 743,664."""
     mod = parse(randprog.generate(1011, size=4))
     check_module(mod)
     g = construct(mod)
     order = "IVT URL URL CNE PSH IVT CNE PSH IVT PSH".split()
     steps = run_pipeline(g, PassConfig(passes=order, unroll_factor=4))
-    assert steps[-1][2] <= 10000
+    assert steps[-1][2] <= 6000
     assert g.validate() == []
     assert_equivalent(mod, g, "seed 1011", n_inputs=5)
 
 
 def test_default_pipeline_peak_stays_within_twice_the_construct():
-    """[DERIVED] On the benchmark ladder up to size 16, no step of the
-    default schedule leaves more than twice the nodes `construct`
-    built."""
+    """[DERIVED] On the benchmark ladder's seeds at every size from 1 to
+    16, no step of the default schedule leaves more than twice the nodes
+    `construct` built."""
     for seed in (3, 7):
-        for size in (1, 2, 4, 8, 16):
+        for size in range(1, 17):
             g = construct(parse(randprog.generate(seed, size=size)))
             built = node_count(g)
             peak = max(after for _, _, after in run_pipeline(g))
