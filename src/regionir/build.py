@@ -110,26 +110,25 @@ class _Emitter:
         sel = self._take_pending(k)
         pred = g.add_simple(region, ops.identity_match(sel.ty, k), [sel])
         node = g.begin_gamma(region, pred.outputs[0], k)
-        subsyms = [{} for _ in range(k)]
-        for v in self.in_port_order(tree.entries):
-            args = g.gamma_add_entry(node, self.lookup(v, region, syms))
-            for c in range(k):
-                subsyms[c][v] = args[c]
+        entries = self.in_port_order(tree.entries)
+        origins = [self.lookup(v, region, syms) for v in entries]
+        subsyms = [dict(zip(entries, args))
+                   for args in g.gamma_add_entries(node, origins)]
         for c, alt in enumerate(tree.alts):
             self.emit(alt, node.subregions[c], subsyms[c])
-        for v in self.in_port_order(tree.demand_out):
-            origins = [self.lookup(v, node.subregions[c], subsyms[c])
-                       for c in range(k)]
-            syms[v] = g.gamma_add_exit(node, origins)
+        exits = self.in_port_order(tree.demand_out)
+        origins = [[self.lookup(v, sub, subsyms[c])
+                    for c, sub in enumerate(node.subregions)] for v in exits]
+        syms.update(zip(exits, g.gamma_add_exits(node, origins)))
 
     def _emit_theta(self, tree, region, syms):
         g = self.g
         node = g.begin_theta(region)
         body = node.subregions[0]
         loopvars = self.in_port_order(tree.demand_out)
-        ports = [g.theta_add_loopvar(node, self.lookup(v, region, syms))
-                 for v in loopvars]
-        bodysyms = {v: arg for v, (arg, _) in zip(loopvars, ports)}
+        args, outs = g.theta_add_loopvars(
+            node, [self.lookup(v, region, syms) for v in loopvars])
+        bodysyms = dict(zip(loopvars, args))
         self.emit(tree.body, body, bodysyms)
         # the tail branches to [exit, repeat]: case 1 repeats
         sel = self._take_pending(2)
@@ -137,7 +136,7 @@ class _Emitter:
         g.theta_set_predicate(node, pred.outputs[0])
         for l, v in enumerate(loopvars):
             g.theta_set_result(node, l, self.lookup(v, body, bodysyms))
-        syms.update((v, out) for v, (_, out) in zip(loopvars, ports))
+        syms.update(zip(loopvars, outs))
 
     def _take_pending(self, k):
         if self.pending is None:
@@ -211,10 +210,9 @@ def translate_function(g, lam, fn, refsyms):
     reference the body makes."""
     body = lam.subregions[0]
     syms = dict(refsyms)
-    for pname, pty in fn.params:
-        syms[pname] = g.lambda_add_param(lam, lift(pty))
-    syms[MEMVAR] = g.lambda_add_param(lam, MEM)
-    syms[IOVAR] = g.lambda_add_param(lam, IO)
+    params = [name for name, _ in fn.params] + [MEMVAR, IOVAR]
+    tys = [lift(ty) for _, ty in fn.params] + [MEM, IO]
+    syms.update(zip(params, g.lambda_add_params(lam, tys)))
 
     work, tree = prepare_tree(fn, {MEMVAR, IOVAR})
     em = _Emitter(g, _vartys_of(work))
@@ -273,17 +271,12 @@ def _build_single(g, module, ipg, name, symtab):
     if name in module.globals_:
         gv = module.globals_[name]
         delta = g.begin_delta(g.root, name, lift(gv.ty))
-        refsyms = {}
-        for ref in ipg[name]:
-            refsyms["@" + ref] = g.add_ctx(delta, symtab[ref])
+        refsyms = _capture(g, delta, ipg[name], symtab)
         symtab[name] = translate_initializer(g, delta, gv, refsyms)
         return
     fn = module.functions[name]
     lam = g.begin_lambda(g.root, name)
-    refsyms = {}
-    for ref in ipg[name]:
-        refsyms["@" + ref] = g.add_ctx(lam, symtab[ref])
-    translate_function(g, lam, fn, refsyms)
+    translate_function(g, lam, fn, _capture(g, lam, ipg[name], symtab))
     symtab[name] = lam.outputs[0]
 
 
@@ -294,22 +287,23 @@ def _build_recursive(g, module, ipg, scc, symtab):
         for ref in ipg[name]:
             if ref not in scc and ref not in outer:
                 outer.append(ref)
-    ctxmap = {}
-    for ref in outer:
-        ctxmap[ref] = g.add_ctx(phi, symtab[ref])
-    recmap = {}
-    for name in scc:
-        arg, out = g.phi_add_rec(phi, lift(module.functions[name].fn_type()))
-        recmap[name] = arg
-        symtab[name] = out
+    inner = dict(zip(outer, g.add_ctx_vars(
+        phi, [symtab[ref] for ref in outer])))
+    args, outs = g.phi_add_recs(
+        phi, [lift(module.functions[name].fn_type()) for name in scc])
+    inner.update(zip(scc, args))
+    symtab.update(zip(scc, outs))
     body = phi.subregions[0]
     for l, name in enumerate(scc):
         fn = module.functions[name]
         lam = g.begin_lambda(body, name)
-        refsyms = {}
-        for ref in ipg[name]:
-            src = ctxmap[ref] if ref not in scc else recmap[ref]
-            refsyms["@" + ref] = g.add_ctx(lam, src)
-        translate_function(g, lam, fn, refsyms)
+        translate_function(g, lam, fn, _capture(g, lam, ipg[name], inner))
         g.phi_set_rec(phi, l, lam.outputs[0])
+
+
+def _capture(g, node, refs, ports):
+    """Give `node` one context variable per name in `refs`, bound to
+    that name's port in `ports`; returns '@name' -> argument."""
+    args = g.add_ctx_vars(node, [ports[ref] for ref in refs])
+    return {"@" + ref: arg for ref, arg in zip(refs, args)}
 

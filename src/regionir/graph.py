@@ -15,10 +15,13 @@ out of id order in region r").  Region and node walks rest on it, and so
 does `topological_order`, which returns `region.nodes` itself when every
 in-region edge runs from a lower id to a higher one.
 
-Port indices are dense too.  Variables are removed in batches
+Port indices are dense too, and variables are added and removed in
+batches.  Each constructor (`gamma_add_entries(g, origins)` and its
+siblings) takes a list and grows each port list it touches through one
+`_splice`: the batch goes in at one position, the list is renumbered
+once from there, and its region is marked once.  Each remover
 (`remove_gamma_entries(g, ls)` and its siblings take a set of variable
-indices): each affected port list is filtered and renumbered once per
-batch, not once per removed index.
+indices) filters and renumbers each list once, through `_drop_ports`.
 
 `validate` runs after construction and after every pass, so it is
 kept cheap.  After construction and after a schedule's last pass it
@@ -34,11 +37,11 @@ such a compare, or one of another kind, goes through the check by check
 compared the same way, and only a failing one goes through `_check_use`.
 
 Every edit goes through a few primitives -- `connect`, `disconnect`,
-`divert_users`, region, node and port creation, `add_ctx`,
-`remove_node` and batch port removal -- and each goes through `_touch`:
-it bumps `Graph.version`, so a cache of facts derived from the graph
-(the interpreter's region plans) can tell that it is stale, it marks
-the region it edits for `validate`, and it drops that region's cached
+`divert_users`, region and node creation, `_splice`, `remove_node` and
+`_drop_ports` -- and each goes through `_touch`: it bumps
+`Graph.version`, so a cache of facts derived from the graph (the
+interpreter's region plans) can tell that it is stale, it marks the
+region it edits for `validate`, and it drops that region's cached
 topological order.  A region keeps its order from the first
 `topological_order` call until the next edit in it, so the passes, the
 interpreter's plans and `validate`'s cycle check share one sort per
@@ -144,9 +147,9 @@ class Node:
         return "Node(%d,%s)" % (self.id, self.opname)
 
 
-def _renumber(items):
-    for i, p in enumerate(items):
-        p.index = i
+def _renumber(items, start=0):
+    for i in range(start, len(items)):
+        items[i].index = i
 
 
 class Graph:
@@ -176,12 +179,17 @@ class Graph:
 
     def connect(self, use, port):
         self._touch(use.region)
+        self._link(use, port)
+
+    def _link(self, use, port):
+        """Point `use` at `port`, which must have its type and region;
+        the caller marks the region."""
         if use.ty != port.ty:
             raise GraphError("type mismatch: %s vs %s at %r" % (use.ty, port.ty, use))
         if use.region is not port.region:
             raise GraphError("cross-region edge %r -> %r" % (port, use))
         if use.origin is not None:
-            self.disconnect(use)
+            use.origin.users.remove(use)
         use.origin = port
         port.users.append(use)
 
@@ -221,31 +229,37 @@ class Graph:
         region.nodes.append(n)
         return n
 
-    def _add_input(self, node, origin):
-        use = Use(origin.ty, len(node.inputs), node=node, region=node.region)
-        node.inputs.append(use)
-        self.connect(use, origin)
-        return use
-
-    def _add_output(self, node, ty):
-        port = Port(ty, len(node.outputs), node=node, region=node.region)
-        node.outputs.append(port)
-        self._touch(node.region)
-        return port
-
-    def _add_arg(self, region, ty):
-        port = Port(ty, len(region.args), region=region)
-        region.args.append(port)
+    def _splice(self, holder, name, tys, at=None, origins=()):
+        """Insert fresh entries, one per type in `tys`, into the port
+        list `name` of `holder` -- a node's "inputs" or "outputs", or a
+        region's "args" or "results" -- at index `at` (by default the
+        end).  The list is renumbered once from `at` and its region is
+        marked once.  Inputs and results are linked to their `origins`
+        as `connect` links them; results given no `origins` are left
+        unlinked.  Returns the new entries."""
+        if not tys:
+            return []
+        if type(holder) is Node:
+            node, region = holder, holder.region
+        else:
+            node, region = None, holder
+        items = getattr(holder, name)
+        end = len(items)
+        if at is None:
+            at = end
+        cls = Use if name in ("inputs", "results") else Port
+        made = []
+        for ty in tys:
+            made.append(cls(ty, at + len(made), node, region))
         self._touch(region)
-        return port
-
-    def _add_result(self, region, ty, origin=None):
-        use = Use(ty, len(region.results), region=region)
-        region.results.append(use)
-        self._touch(region)
-        if origin is not None:
-            self.connect(use, origin)
-        return use
+        if at == end:
+            items += made
+        else:
+            items[at:at] = made
+            _renumber(items, at + len(made))
+        for use, origin in zip(made, origins):
+            self._link(use, origin)
+        return made
 
     def add_simple(self, region, op, origins):
         ins, outs = op.signature()
@@ -253,10 +267,8 @@ class Graph:
             raise GraphError("%s expects %d operands, got %d"
                              % (op, len(ins), len(origins)))
         n = self._new_node(region, "simple", op=op)
-        for origin in origins:
-            self._add_input(n, origin)
-        for ty in outs:
-            self._add_output(n, ty)
+        self._splice(n, "inputs", [o.ty for o in origins], origins=origins)
+        self._splice(n, "outputs", outs)
         return n
 
     # gamma
@@ -268,39 +280,47 @@ class Graph:
             raise GraphError("gamma predicate must be %s, got %s"
                              % (ctl(k), pred_origin.ty))
         n = self._new_node(region, "gamma")
-        self._add_input(n, pred_origin)
+        self._splice(n, "inputs", [pred_origin.ty], origins=[pred_origin])
         for i in range(k):
             self._new_region(n, i)
         return n
 
-    def gamma_add_entry(self, g, origin):
-        self._add_input(g, origin)
-        return [self._add_arg(r, origin.ty) for r in g.subregions]
+    def gamma_add_entries(self, g, origins):
+        """One entry variable per origin; returns each alternative's new
+        arguments, in `origins` order."""
+        tys = [o.ty for o in origins]
+        self._splice(g, "inputs", tys, origins=origins)
+        return [self._splice(r, "args", tys) for r in g.subregions]
 
-    def gamma_add_exit(self, g, result_origins):
-        tys = {o.ty for o in result_origins}
-        if len(result_origins) != len(g.subregions) or len(tys) != 1:
-            raise GraphError("exit variable needs one equally-typed origin per subregion")
-        ty = result_origins[0].ty
-        for r, origin in zip(g.subregions, result_origins):
-            self._add_result(r, ty, origin)
-        return self._add_output(g, ty)
+    def gamma_add_exits(self, g, exits):
+        """One exit variable per entry of `exits`, a list holding one
+        origin per alternative; returns the new outputs."""
+        if any(len(o) != len(g.subregions) or len({p.ty for p in o}) != 1
+               for o in exits):
+            raise GraphError("exit variable needs one equally-typed origin "
+                             "per subregion")
+        tys = [origins[0].ty for origins in exits]
+        for c, r in enumerate(g.subregions):
+            self._splice(r, "results", tys, origins=[o[c] for o in exits])
+        return self._splice(g, "outputs", tys)
 
     # theta
 
     def begin_theta(self, region):
         n = self._new_node(region, "theta")
         body = self._new_region(n, 0)
-        self._add_result(body, ctl(2))      # continuation predicate, set later
+        self._splice(body, "results", [ctl(2)])    # the predicate, set later
         return n
 
-    def theta_add_loopvar(self, t, origin):
+    def theta_add_loopvars(self, t, origins):
+        """One loop variable per origin, its body result unset; returns
+        the new arguments and the new outputs."""
         body = t.subregions[0]
-        self._add_input(t, origin)
-        arg = self._add_arg(body, origin.ty)
-        self._add_result(body, origin.ty)
-        out = self._add_output(t, origin.ty)
-        return arg, out
+        tys = [o.ty for o in origins]
+        self._splice(t, "inputs", tys, origins=origins)
+        args = self._splice(body, "args", tys)
+        self._splice(body, "results", tys)
+        return args, self._splice(t, "outputs", tys)
 
     def theta_set_predicate(self, t, origin):
         self.connect(t.subregions[0].results[0], origin)
@@ -315,32 +335,27 @@ class Graph:
         self._new_region(n, 0)
         return n
 
-    def add_ctx(self, node, origin):
-        """Add a context variable to a lambda, delta, or phi node.  The
-        new input and argument slot in after the existing context
-        variables, ahead of any parameters or recursion variables."""
-        use = Use(origin.ty, node.n_ctx, node=node, region=node.region)
-        node.inputs.insert(node.n_ctx, use)
-        _renumber(node.inputs)
-        self.connect(use, origin)
-        body = node.subregions[0]
-        arg = Port(origin.ty, node.n_ctx, region=body)
-        body.args.insert(node.n_ctx, arg)
-        _renumber(body.args)
-        self._touch(body)
-        node.n_ctx += 1
-        return arg
+    def add_ctx_vars(self, node, origins):
+        """Context variables of a lambda, delta, or phi node, one per
+        origin.  The new inputs and arguments slot in after the existing
+        context variables, ahead of any parameters or recursion
+        variables.  Returns the new arguments."""
+        tys = [o.ty for o in origins]
+        self._splice(node, "inputs", tys, at=node.n_ctx, origins=origins)
+        args = self._splice(node.subregions[0], "args", tys, at=node.n_ctx)
+        node.n_ctx += len(args)
+        return args
 
-    def lambda_add_param(self, lam, ty):
-        return self._add_arg(lam.subregions[0], ty)
+    def lambda_add_params(self, lam, tys):
+        return self._splice(lam.subregions[0], "args", tys)
 
     def lambda_finish(self, lam, result_origins):
         body = lam.subregions[0]
-        for origin in result_origins:
-            self._add_result(body, origin.ty, origin)
+        self._splice(body, "results", [o.ty for o in result_origins],
+                     origins=result_origins)
         params = tuple(a.ty for a in body.args[lam.n_ctx:])
         results = tuple(r.ty for r in body.results)
-        return self._add_output(lam, fnty(params, results))
+        return self._splice(lam, "outputs", [fnty(params, results)])[0]
 
     # delta
 
@@ -351,8 +366,9 @@ class Graph:
         return n
 
     def delta_finish(self, d, result_origin):
-        self._add_result(d.subregions[0], result_origin.ty, result_origin)
-        return self._add_output(d, PTR)
+        self._splice(d.subregions[0], "results", [result_origin.ty],
+                     origins=[result_origin])
+        return self._splice(d, "outputs", [PTR])[0]
 
     # phi
 
@@ -361,12 +377,13 @@ class Graph:
         self._new_region(n, 0)
         return n
 
-    def phi_add_rec(self, phi, ty):
+    def phi_add_recs(self, phi, tys):
+        """One recursion variable per type, its body result unset;
+        returns the new arguments and the new outputs."""
         body = phi.subregions[0]
-        arg = self._add_arg(body, ty)
-        self._add_result(body, ty)
-        out = self._add_output(phi, ty)
-        return arg, out
+        args = self._splice(body, "args", tys)
+        self._splice(body, "results", tys)
+        return args, self._splice(phi, "outputs", tys)
 
     def phi_set_rec(self, phi, l, origin):
         self.connect(phi.subregions[0].results[l], origin)
@@ -375,11 +392,12 @@ class Graph:
 
     def omega_add_import(self, name, ty):
         self.import_names.append(name)
-        return self._add_arg(self.root, ty)
+        return self._splice(self.root, "args", [ty])[0]
 
     def omega_add_export(self, name, origin):
         self.export_names.append(name)
-        return self._add_result(self.root, origin.ty, origin)
+        return self._splice(self.root, "results", [origin.ty],
+                            origins=[origin])[0]
 
     def export_origin(self, name):
         for nm, res in zip(self.export_names, self.root.results):
@@ -687,6 +705,41 @@ def holds_loop(node):
     nothing reads its outputs, since the loop may never end."""
     return node.kind == "theta" or (node.kind == "gamma" and any(
         holds_loop(n) for sub in node.subregions for n in sub.nodes))
+
+
+def carried(port):
+    """The port outside `port`'s region whose value the argument `port`
+    always holds, or None: a gamma argument holds its entry's origin, a
+    theta argument whose result is itself the theta's input, and a
+    lambda, delta or phi context argument the node's input.  Any other
+    port -- a node output, a loop variable that changes, a parameter, a
+    recursion variable, an import -- holds a value of its own."""
+    if port.node is not None:
+        return None
+    owner = port.region.owner
+    if owner.kind == "gamma":
+        return owner.inputs[port.index + 1].origin
+    if owner.kind == "theta":
+        if owner.subregions[0].results[port.index + 1].origin is not port:
+            return None
+    elif port.index >= owner.n_ctx:
+        return None
+    return owner.inputs[port.index].origin
+
+
+def producers(region, origins):
+    """The nodes of `region` that the ports `origins` depend on, through
+    edges inside `region`, as a set (test membership; do not iterate)."""
+    found = set()
+    stack = list(origins)
+    while stack:
+        p = stack.pop()
+        n = None if p is None else p.node
+        if n is None or n.region is not region or n in found:
+            continue
+        found.add(n)
+        stack.extend(u.origin for u in n.inputs)
+    return found
 
 
 def _check_use(use, region, bad):

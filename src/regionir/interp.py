@@ -52,7 +52,7 @@ import weakref
 import zlib
 
 from .types import sizeof
-from .graph import holds_loop
+from .graph import holds_loop, producers
 from .ops import SEMANTICS, Trap, coerce_literal, operand_types
 from .source import Var, Lit, Br, Ret
 
@@ -435,12 +435,7 @@ def eval_rvsdg(graph, fn_name, args, fuel=DEFAULT_FUEL, externals=None,
     machine.mute = True
     _define_all(machine, graph, graph.root, env)
     machine.mute = False
-    fv = None
-    for nm, res in zip(graph.export_names, graph.root.results):
-        if nm == fn_name:
-            fv = env[res.origin]
-    if fv is None:
-        raise KeyError("no export named %r" % fn_name)
+    fv = env[graph.export_origin(fn_name)]
     if not isinstance(fv, FnValue):
         raise KeyError("no function @%s" % fn_name)
     fn_ty = fv.node.outputs[0].ty
@@ -483,29 +478,15 @@ def _plan(graph, region):
     if plan is None:
         nodes = graph.topological_order(region)
         if region.owner.kind not in ("omega", "phi"):
-            live = _live_slice(region)
-            nodes = [n for n in nodes if n.id in live]
+            loops = [n for n in region.nodes if holds_loop(n)]
+            live = producers(region, [r.origin for r in region.results]
+                             + [u.origin for n in loops for u in n.inputs])
+            live.update(loops)
+            nodes = [n for n in nodes if n in live]
         plan = cached[1][region] = (
             tuple(_STEPS.get(n.kind, _node_step)(n) for n in nodes),
             tuple(r.origin for r in region.results))
     return plan
-
-
-def _live_slice(region):
-    needed = set()
-    stack = [r.origin for r in region.results]
-    for n in region.nodes:
-        if holds_loop(n):
-            needed.add(n.id)
-            stack.extend(u.origin for u in n.inputs)
-    while stack:
-        p = stack.pop()
-        if p is None or p.node is None or p.node.region is not region \
-                or p.node.id in needed:
-            continue
-        needed.add(p.node.id)
-        stack.extend(u.origin for u in p.node.inputs)
-    return needed
 
 
 def _run_plan(machine, graph, plan, env):

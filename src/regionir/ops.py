@@ -192,11 +192,6 @@ class SimpleOp:
         return self.name
 
 
-def binop(name, ty):
-    """An arithmetic or comparison operation on operands of type `ty`."""
-    return SimpleOp(name, ty)
-
-
 def const(value, ty):
     return SimpleOp("const", ty, value=value)
 

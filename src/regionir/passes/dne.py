@@ -19,7 +19,7 @@ same way inside what it pinned.  Thetas inside dead functions go away
 with the function.
 """
 
-from ..graph import holds_loop
+from ..graph import carried, holds_loop
 
 
 def run(graph):
@@ -60,19 +60,13 @@ def mark(graph):
         p = work.pop()
         if p.node is None:
             owner = p.region.owner
-            if owner.kind == "gamma":
-                want(owner.inputs[p.index + 1].origin)
-            elif owner.kind == "theta":
+            if owner.kind == "theta":
                 want_loopvar(owner, p.index)
-            elif owner.kind == "phi":
-                if p.index < owner.n_ctx:
-                    want(owner.inputs[p.index].origin)
-                else:
-                    want(p.region.results[p.index - owner.n_ctx].origin)
-            elif owner.kind in ("lambda", "delta"):
-                if p.index < owner.n_ctx:
-                    want(owner.inputs[p.index].origin)
-            # omega arguments are roots; nothing to chase
+            elif owner.kind == "phi" and p.index >= owner.n_ctx:
+                want(p.region.results[p.index - owner.n_ctx].origin)
+            else:
+                # parameters and omega arguments are roots
+                want(carried(p))
         elif p.node.kind == "simple":
             for use in p.node.inputs:
                 want(use.origin)

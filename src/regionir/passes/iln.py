@@ -11,6 +11,7 @@ Recursive functions live inside a recursion environment node, which the
 resolver treats as opaque, so they are never inlined.
 """
 
+from ..graph import carried
 from ..rewrite import inline_region, route_to_region
 
 SMALL = 16
@@ -20,7 +21,7 @@ def run(graph):
     sites = []
     for node in graph.all_nodes():
         if node.kind == "simple" and node.op.name == "apply":
-            lam = _resolve(graph, node.inputs[0].origin)
+            lam = _resolve(node.inputs[0].origin)
             if lam is not None:
                 sites.append((node, lam))
     callers = {}
@@ -36,25 +37,13 @@ def run(graph):
             _inline(graph, node, lam)
 
 
-def _resolve(graph, port):
+def _resolve(port):
     """Chase a function value back to the lambda that produced it."""
-    while True:
-        if port.node is not None:
-            return port.node if port.node.kind == "lambda" else None
-        owner = port.region.owner
-        if owner is None:
-            return None                      # an imported function
-        if owner.kind == "gamma":
-            port = owner.inputs[port.index + 1].origin
-        elif owner.kind == "theta":
-            res = owner.subregions[0].results[port.index + 1]
-            if res.origin is not port:
-                return None                  # rebound each iteration
-            port = owner.inputs[port.index].origin
-        elif port.index < owner.n_ctx:
-            port = owner.inputs[port.index].origin
-        else:
-            return None                      # recursion or parameter binding
+    while port.node is None:
+        port = carried(port)
+        if port is None:
+            return None     # an import, a parameter, a recursion variable
+    return port.node if port.node.kind == "lambda" else None
 
 
 def _encloses(lam, node):

@@ -4,43 +4,45 @@ A theta loop variable whose body result is its own argument never
 changes, so users of the theta output can read the input directly.
 Likewise a gamma exit variable that routes the same entry variable's
 argument out of every alternative just reproduces the entry's input.
-Both diversions can expose one another, so the pass iterates to a
-fixpoint.
+
+One walk reaches the fixpoint.  Whether a node's output can be diverted
+depends only on its own subregions' results, so each node is handled
+after its subregions.  A diversion moves the node's users onto one of
+its operands, so each region is walked consumers first: the producer of
+that operand, whose output has just gained users, comes later.
 """
+
+from ..graph import carried
 
 
 def run(graph):
-    changed = True
-    while changed:
-        changed = False
-        for node in list(graph.all_nodes()):
-            if node.kind == "theta":
-                changed |= _divert_theta(graph, node)
-            elif node.kind == "gamma":
-                changed |= _divert_gamma(graph, node)
+    _walk(graph, graph.root)
+
+
+def _walk(graph, region):
+    for node in reversed(graph.topological_order(region)):
+        for sub in node.subregions:
+            _walk(graph, sub)
+        if node.kind == "theta":
+            _divert_theta(graph, node)
+        elif node.kind == "gamma":
+            _divert_gamma(graph, node)
 
 
 def _divert_theta(graph, node):
-    body = node.subregions[0]
-    changed = False
-    for l in range(len(node.inputs)):
-        if body.results[l + 1].origin is body.args[l] \
-                and node.outputs[l].users:
-            graph.divert_users(node.outputs[l], node.inputs[l].origin)
-            changed = True
-    return changed
+    for arg, out in zip(node.subregions[0].args, node.outputs):
+        origin = carried(arg)
+        if origin is not None and out.users:
+            graph.divert_users(out, origin)
 
 
 def _divert_gamma(graph, node):
-    changed = False
     for l, out in enumerate(node.outputs):
         if not out.users:
             continue
         entry = _common_entry(node, l)
         if entry is not None:
             graph.divert_users(out, node.inputs[entry + 1].origin)
-            changed = True
-    return changed
 
 
 def _common_entry(node, l):

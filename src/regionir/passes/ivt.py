@@ -16,6 +16,7 @@ in the epilogue), but always on values the original loop evaluated it
 on, so even a trapping division in the condition behaves identically.
 """
 
+from ..graph import producers
 from ..rewrite import copy_nodes, inline_region
 
 
@@ -70,18 +71,10 @@ def _branch_values(body, gamma):
 def _condition_nodes(graph, body, gamma):
     """The glue computing the gamma's predicate, in topological order;
     None if the predicate depends on the gamma itself."""
-    need = set()
-    stack = [gamma.inputs[0].origin]
-    while stack:
-        p = stack.pop()
-        n = p.node
-        if n is None or n.region is not body or n.id in need:
-            continue
-        if n is gamma:
-            return None
-        need.add(n.id)
-        stack.extend(u.origin for u in n.inputs)
-    return [n for n in graph.topological_order(body) if n.id in need]
+    need = producers(body, [gamma.inputs[0].origin])
+    if gamma in need:
+        return None
+    return [n for n in graph.topological_order(body) if n in need]
 
 
 def _copy_iteration(graph, nodes, gamma, sub_index, dst, portmap):
@@ -112,10 +105,9 @@ def _invert(graph, node, gamma):
 
     outer = graph.begin_gamma(parent, p0, 2)
     stop, go = outer.subregions
-    entry0, entry1 = {}, {}
-    for l in range(n):
-        args = graph.gamma_add_entry(outer, node.inputs[l].origin)
-        entry0[body.args[l]], entry1[body.args[l]] = args
+    args0, args1 = graph.gamma_add_entries(
+        outer, [u.origin for u in node.inputs])
+    entry0, entry1 = dict(zip(body.args, args0)), dict(zip(body.args, args1))
 
     # condition false on entry: the loop runs its exit iteration once
     map0 = _copy_iteration(graph, nodes, gamma, 0, stop, entry0)
@@ -125,10 +117,7 @@ def _invert(graph, node, gamma):
     # exit iteration on the final values
     inner = graph.begin_theta(go)
     ibody = inner.subregions[0]
-    map1 = {}
-    for l in range(n):
-        arg, _ = graph.theta_add_loopvar(inner, entry1[body.args[l]])
-        map1[body.args[l]] = arg
+    map1 = dict(zip(body.args, graph.theta_add_loopvars(inner, args1)[0]))
     _copy_iteration(graph, nodes, gamma, 1, ibody, map1)
     nvals = {body.args[l]: map1[results[l + 1]] for l in range(n)}
     pnext = copy_nodes(graph, cond, ibody, dict(nvals))[pred_port]
@@ -140,7 +129,7 @@ def _invert(graph, node, gamma):
     map3 = _copy_iteration(graph, nodes, gamma, 0, go, map3)
     go_vals = [map3[results[l + 1]] for l in range(n)]
 
-    for l in range(n):
-        out = graph.gamma_add_exit(outer, [stop_vals[l], go_vals[l]])
-        graph.divert_users(node.outputs[l], out)
+    outs = graph.gamma_add_exits(outer, list(zip(stop_vals, go_vals)))
+    for old, out in zip(node.outputs, outs):
+        graph.divert_users(old, out)
     graph.remove_node(node)

@@ -49,13 +49,14 @@ def _sink(graph, region):
             known = entries[gamma] = {}
             for l, use in enumerate(gamma.inputs[1:]):
                 known.setdefault(use.origin, l)
-        inner = []
+        fresh = []
         for use in node.inputs:
-            l = known.get(use.origin)
-            if l is None:
-                l = known[use.origin] = len(gamma.inputs) - 1
-                graph.gamma_add_entry(gamma, use.origin)
-            inner.append(alt.args[l])
+            if use.origin not in known:
+                known[use.origin] = len(gamma.inputs) - 1 + len(fresh)
+                fresh.append(use.origin)
+        if fresh:
+            graph.gamma_add_entries(gamma, fresh)
+        inner = [alt.args[known[use.origin]] for use in node.inputs]
         moved = graph.add_simple(alt, node.op, inner)
         gone = emptied.setdefault(gamma, set())
         for out, new in zip(node.outputs, moved.outputs):

@@ -31,6 +31,7 @@ a time, innermost first, would leave its surviving copies.  A node
 without users is not copied, so a second run adds nothing.
 """
 
+from ..graph import carried
 from ..rewrite import enter
 
 
@@ -101,14 +102,9 @@ def _chain(port, limit):
     """`port` and the ports outside it that it stands for, innermost
     first, at most `limit` levels out."""
     chain = [port]
-    while len(chain) <= limit and port.node is None:
-        owner = port.region.owner
-        if owner.kind == "gamma":
-            port = owner.inputs[port.index + 1].origin
-        elif owner.kind == "theta" and \
-                owner.subregions[0].results[port.index + 1].origin is port:
-            port = owner.inputs[port.index].origin
-        else:
+    while len(chain) <= limit:
+        port = carried(port)
+        if port is None:
             break
         chain.append(port)
     return chain

@@ -48,23 +48,18 @@ def _expand(graph, body, region, nodes, origins, vals, pred, depth, factor):
         return vals, pred
     gamma = graph.begin_gamma(region, pred, 2)
     stop, go = gamma.subregions
-    entry = {}
-    for l in sorted(vals):
-        args = graph.gamma_add_entry(gamma, vals[l])
-        entry[l] = args
+    ls = sorted(vals)
+    stop_args, go_args = graph.gamma_add_entries(gamma, [vals[l] for l in ls])
     zero = graph.add_simple(stop, const(0, ctl(2)), []).outputs[0]
 
-    portmap = {}
-    for l, args in entry.items():
-        portmap[body.args[l]] = args[1]
+    portmap = {body.args[l]: arg for l, arg in zip(ls, go_args)}
     copy_nodes(graph, nodes, go, portmap)
     nvals = {l: portmap[origins[l + 1]] for l in vals}
     npred = portmap[origins[0]]
     nvals, npred = _expand(graph, body, go, nodes, origins, nvals, npred,
                            depth + 1, factor)
 
-    outs = {}
-    for l, args in entry.items():
-        outs[l] = graph.gamma_add_exit(gamma, [args[0], nvals[l]])
-    pred_out = graph.gamma_add_exit(gamma, [zero, npred])
-    return outs, pred_out
+    *outs, pred_out = graph.gamma_add_exits(
+        gamma, [[arg, nvals[l]] for l, arg in zip(ls, stop_args)]
+        + [[zero, npred]])
+    return dict(zip(ls, outs)), pred_out

@@ -46,19 +46,19 @@ def inline_region(graph, region, dst, args):
 def copy_gamma(graph, node, dst, portmap):
     n2 = graph.begin_gamma(dst, portmap[node.inputs[0].origin],
                            len(node.subregions))
-    for use in node.inputs[1:]:
-        graph.gamma_add_entry(n2, portmap[use.origin])
+    graph.gamma_add_entries(n2, [portmap[u.origin] for u in node.inputs[1:]])
     exits = [inline_region(graph, sub, sub2, sub2.args)
              for sub, sub2 in zip(node.subregions, n2.subregions)]
-    for out, origins in zip(node.outputs, zip(*exits)):
-        portmap[out] = graph.gamma_add_exit(n2, list(origins))
+    outs = graph.gamma_add_exits(n2, list(zip(*exits)))
+    portmap.update(zip(node.outputs, outs))
     return n2
 
 
 def copy_theta(graph, node, dst, portmap):
     n2 = graph.begin_theta(dst)
-    for use, out in zip(node.inputs, node.outputs):
-        portmap[out] = graph.theta_add_loopvar(n2, portmap[use.origin])[1]
+    _, outs = graph.theta_add_loopvars(
+        n2, [portmap[u.origin] for u in node.inputs])
+    portmap.update(zip(node.outputs, outs))
     body = n2.subregions[0]
     pred, *results = inline_region(graph, node.subregions[0], body, body.args)
     graph.theta_set_predicate(n2, pred)
@@ -91,11 +91,11 @@ def enter(graph, node, port):
     a pass-through loop variable of a theta.  Returns the argument that
     carries it in each of `node`'s subregions."""
     if node.kind in ("lambda", "delta", "phi"):
-        return [graph.add_ctx(node, port)]
+        return graph.add_ctx_vars(node, [port])
     if node.kind == "gamma":
-        return graph.gamma_add_entry(node, port)
+        return [args[0] for args in graph.gamma_add_entries(node, [port])]
     if node.kind == "theta":
-        arg, _ = graph.theta_add_loopvar(node, port)
-        graph.theta_set_result(node, len(node.inputs) - 1, arg)
-        return [arg]
+        args, _ = graph.theta_add_loopvars(node, [port])
+        graph.theta_set_result(node, len(node.inputs) - 1, args[0])
+        return args
     raise RewriteError("cannot route through a %s node" % node.kind)

@@ -243,7 +243,7 @@ def test_pass_breaking_the_graph_mid_schedule_exits_three(monkeypatch,
     default schedule is an internal error named by its step."""
     def breaking(g):
         gamma = next(n for n in g.all_nodes() if n.kind == "gamma")
-        g._add_arg(gamma.subregions[0], gamma.inputs[0].ty)
+        g._splice(gamma.subregions[0], "args", [gamma.inputs[0].ty])
 
     monkeypatch.setitem(cli.run_pipeline.__globals__["PASSES"], "PSH",
                         breaking)

@@ -204,18 +204,17 @@ def test_a_value_only_passed_on_unread_gets_no_phi():
     gets no header phi; the counter beside it gets one."""
     g = Graph()
     lam = g.begin_lambda(g.root, "f")
-    n = g.lambda_add_param(lam, I64)
+    n = g.lambda_add_params(lam, [I64])[0]
     th = g.begin_theta(lam.subregions[0])
-    count, out = g.theta_add_loopvar(th, n)
-    passed, _ = g.theta_add_loopvar(th, n)
+    (count, passed), (out, _) = g.theta_add_loopvars(th, [n, n])
     body = th.subregions[0]
     one = g.add_simple(body, ops.const(1, I64), []).outputs[0]
-    dec = g.add_simple(body, ops.binop("sub", I64), [count, one]).outputs[0]
+    dec = g.add_simple(body, ops.SimpleOp("sub", I64), [count, one]).outputs[0]
     zero = g.add_simple(body, ops.const(0, I64), []).outputs[0]
-    c = g.add_simple(body, ops.binop("ne", I64), [dec, zero]).outputs[0]
+    c = g.add_simple(body, ops.SimpleOp("ne", I64), [dec, zero]).outputs[0]
     m = g.add_simple(body, ops.identity_match(I1, 2), [c]).outputs[0]
     gamma = g.begin_gamma(body, m, 2)
-    g.gamma_add_entry(gamma, passed)
+    g.gamma_add_entries(gamma, [passed])
     g.add_simple(body, ops.identity_match(I64, 2), [passed])
     g.theta_set_predicate(th, m)
     g.theta_set_result(th, 0, dec)

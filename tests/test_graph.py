@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from regionir.build import construct
-from regionir.graph import Graph, GraphError, Port, Region, Use
+from regionir.graph import Graph, GraphError, Port, Region, Use, carried
 from regionir.parser import parse
 from regionir.passes import PassConfig, run_pipeline
 from regionir.passes.pipeline import PASSES
@@ -25,9 +25,8 @@ def _simple_fn():
     g = Graph()
     lam = g.begin_lambda(g.root, "f")
     body = lam.subregions[0]
-    a = g.lambda_add_param(lam, I64)
-    b = g.lambda_add_param(lam, I64)
-    n = g.add_simple(body, ops.binop("add", I64), [a, b])
+    a, b = g.lambda_add_params(lam, [I64, I64])
+    n = g.add_simple(body, ops.SimpleOp("add", I64), [a, b])
     g.lambda_finish(lam, [n.outputs[0]])
     g.omega_add_export("f", lam.outputs[0])
     return g, lam, n
@@ -44,8 +43,8 @@ def test_validate_reports_signature_mismatch():
     """[TRIVIAL] Feeding i64 values to an i32 operation is flagged."""
     g = Graph()
     lam = g.begin_lambda(g.root, "f")
-    a = g.lambda_add_param(lam, I64)
-    g.add_simple(lam.subregions[0], ops.binop("add", I32), [a, a])
+    a = g.lambda_add_params(lam, [I64])[0]
+    g.add_simple(lam.subregions[0], ops.SimpleOp("add", I32), [a, a])
     g.lambda_finish(lam, [])
     assert any("signature" in msg for msg in g.validate())
 
@@ -55,7 +54,7 @@ def test_cross_region_edge_rejected():
     g, lam, _ = _simple_fn()
     other = g.begin_lambda(g.root, "h")
     with pytest.raises(GraphError):
-        g.add_simple(other.subregions[0], ops.binop("add", I64),
+        g.add_simple(other.subregions[0], ops.SimpleOp("add", I64),
                      [lam.subregions[0].args[0]] * 2)
 
 
@@ -89,10 +88,10 @@ def test_topological_order_respects_dependencies():
     g = Graph()
     lam = g.begin_lambda(g.root, "f")
     body = lam.subregions[0]
-    a = g.lambda_add_param(lam, I64)
+    a = g.lambda_add_params(lam, [I64])[0]
     x = g.add_simple(body, ops.const(3, I64), [])
-    y = g.add_simple(body, ops.binop("mul", I64), [a, x.outputs[0]])
-    z = g.add_simple(body, ops.binop("add", I64), [y.outputs[0], a])
+    y = g.add_simple(body, ops.SimpleOp("mul", I64), [a, x.outputs[0]])
+    z = g.add_simple(body, ops.SimpleOp("add", I64), [y.outputs[0], a])
     g.lambda_finish(lam, [z.outputs[0]])
     order = [n.id for n in g.topological_order(body)]
     assert order.index(x.id) < order.index(y.id) < order.index(z.id)
@@ -104,15 +103,14 @@ def test_gamma_shape():
     g = Graph()
     lam = g.begin_lambda(g.root, "f")
     body = lam.subregions[0]
-    a = g.lambda_add_param(lam, I1)
-    v = g.lambda_add_param(lam, I64)
+    a, v = g.lambda_add_params(lam, [I1, I64])
     m = g.add_simple(body, ops.identity_match(I1, 2), [a])
     gam = g.begin_gamma(body, m.outputs[0], 2)
-    ev = g.gamma_add_entry(gam, v)
+    (e0,), (e1,) = g.gamma_add_entries(gam, [v])
     one = g.add_simple(gam.subregions[1], ops.const(1, I64), [])
-    add = g.add_simple(gam.subregions[1], ops.binop("add", I64),
-                       [ev[1], one.outputs[0]])
-    out = g.gamma_add_exit(gam, [ev[0], add.outputs[0]])
+    add = g.add_simple(gam.subregions[1], ops.SimpleOp("add", I64),
+                       [e1, one.outputs[0]])
+    out, = g.gamma_add_exits(gam, [[e0, add.outputs[0]]])
     g.lambda_finish(lam, [out])
     assert gam.inputs[0].origin.ty == ctl(2)
     assert len(gam.subregions) == 2
@@ -125,14 +123,14 @@ def test_theta_shape():
     g = Graph()
     lam = g.begin_lambda(g.root, "f")
     body = lam.subregions[0]
-    v = g.lambda_add_param(lam, I64)
+    v = g.lambda_add_params(lam, [I64])[0]
     th = g.begin_theta(body)
-    lv, _ = g.theta_add_loopvar(th, v)
+    (lv,), _ = g.theta_add_loopvars(th, [v])
     inner = th.subregions[0]
     one = g.add_simple(inner, ops.const(1, I64), [])
-    dec = g.add_simple(inner, ops.binop("sub", I64), [lv, one.outputs[0]])
+    dec = g.add_simple(inner, ops.SimpleOp("sub", I64), [lv, one.outputs[0]])
     zero = g.add_simple(inner, ops.const(0, I64), [])
-    c = g.add_simple(inner, ops.binop("ne", I64),
+    c = g.add_simple(inner, ops.SimpleOp("ne", I64),
                      [dec.outputs[0], zero.outputs[0]])
     m = g.add_simple(inner, ops.identity_match(I1, 2), [c.outputs[0]])
     g.theta_set_predicate(th, m.outputs[0])
@@ -147,7 +145,7 @@ def test_validate_catches_dangling_result():
     """[TRIVIAL] A region result with no origin is a violation."""
     g = Graph()
     lam = g.begin_lambda(g.root, "f")
-    g.lambda_add_param(lam, I64)
+    g.lambda_add_params(lam, [I64])
     g.lambda_finish(lam, [lam.subregions[0].args[0]])
     g.disconnect(lam.subregions[0].results[0])
     assert g.validate() != []
@@ -162,7 +160,7 @@ def _dense(*lists):
 
 def _lambda_with_params(g, n):
     lam = g.begin_lambda(g.root, "f")
-    return lam, [g.lambda_add_param(lam, I64) for _ in range(n)]
+    return lam, g.lambda_add_params(lam, [I64] * n)
 
 
 def test_remove_gamma_entries_and_exits_in_one_batch():
@@ -175,8 +173,9 @@ def test_remove_gamma_entries_and_exits_in_one_batch():
     sel = g.add_simple(body, ops.const(0, I1), [])
     m = g.add_simple(body, ops.identity_match(I1, 2), [sel.outputs[0]])
     gam = g.begin_gamma(body, m.outputs[0], 2)
-    evs = [g.gamma_add_entry(gam, v) for v in vs]
-    outs = [g.gamma_add_exit(gam, evs[e]) for e in (0, 2, 4, 4)]
+    alts = g.gamma_add_entries(gam, vs)
+    outs = g.gamma_add_exits(gam, [[args[e] for args in alts]
+                                   for e in (0, 2, 4, 4)])
     g.lambda_finish(lam, [outs[1], outs[3]])
     with pytest.raises(GraphError):
         g.remove_gamma_entries(gam, {0, 1})
@@ -203,8 +202,7 @@ def test_remove_theta_loopvars_in_one_batch():
     g = Graph()
     lam, vs = _lambda_with_params(g, 5)
     th = g.begin_theta(lam.subregions[0])
-    for v in vs:
-        arg, _ = g.theta_add_loopvar(th, v)
+    for arg in g.theta_add_loopvars(th, vs)[0]:
         g.theta_set_result(th, arg.index, arg)
     inner = th.subregions[0]
     stop = g.add_simple(inner, ops.const(0, I1), [])
@@ -232,9 +230,9 @@ def test_remove_ctx_vars_and_imports_in_one_batch():
     g = Graph()
     imports = [g.omega_add_import("i%d" % k, I64) for k in range(4)]
     lam = g.begin_lambda(g.root, "f")
-    ctx = [g.add_ctx(lam, p) for p in imports]
+    ctx = g.add_ctx_vars(lam, imports)
     body = lam.subregions[0]
-    n = g.add_simple(body, ops.binop("add", I64), [ctx[1], ctx[3]])
+    n = g.add_simple(body, ops.SimpleOp("add", I64), [ctx[1], ctx[3]])
     g.lambda_finish(lam, [n.outputs[0]])
     g.omega_add_export("f", lam.outputs[0])
     with pytest.raises(GraphError):
@@ -259,10 +257,8 @@ def test_remove_phi_recs_in_one_batch():
     g = Graph()
     imp = g.omega_add_import("x", I64)
     phi = g.begin_phi(g.root)
-    g.add_ctx(phi, imp)
-    ty = fnty([], [I64])
-    for _ in range(4):
-        g.phi_add_rec(phi, ty)
+    g.add_ctx_vars(phi, [imp])
+    g.phi_add_recs(phi, [fnty([], [I64])] * 4)
     body = phi.subregions[0]
     lams = []
     for l in range(4):
@@ -299,19 +295,18 @@ def _zoo():
     z.c = g.add_simple(z.dreg, ops.const(7, I64), [])
     g.delta_finish(z.d, z.c.outputs[0])
     z.lam = g.begin_lambda(g.root, "f")
-    ctx = g.add_ctx(z.lam, z.imp)
+    ctx, = g.add_ctx_vars(z.lam, [z.imp])
     z.body = z.lam.subregions[0]
-    p = g.lambda_add_param(z.lam, I1)
-    z.v = g.lambda_add_param(z.lam, I64)
+    p, z.v = g.lambda_add_params(z.lam, [I1, I64])
     z.m = g.add_simple(z.body, ops.identity_match(I1, 2), [p])
     z.gam = g.begin_gamma(z.body, z.m.outputs[0], 2)
-    z.ev = g.gamma_add_entry(z.gam, z.v)
-    z.ec = g.gamma_add_entry(z.gam, ctx)
+    alts = g.gamma_add_entries(z.gam, [z.v, ctx])
+    z.ev, z.ec = [list(args) for args in zip(*alts)]
     z.sub0, z.sub1 = z.gam.subregions
-    z.add = g.add_simple(z.sub1, ops.binop("add", I64), [z.ev[1], z.ec[1]])
-    gout = g.gamma_add_exit(z.gam, [z.ev[0], z.add.outputs[0]])
+    z.add = g.add_simple(z.sub1, ops.SimpleOp("add", I64), [z.ev[1], z.ec[1]])
+    gout, = g.gamma_add_exits(z.gam, [[z.ev[0], z.add.outputs[0]]])
     z.th = g.begin_theta(z.body)
-    lv, tout = g.theta_add_loopvar(z.th, gout)
+    (lv,), (tout,) = g.theta_add_loopvars(z.th, [gout])
     z.inner = z.th.subregions[0]
     stop = g.add_simple(z.inner, ops.const(0, I1), [])
     tm = g.add_simple(z.inner, ops.identity_match(I1, 2), [stop.outputs[0]])
@@ -320,8 +315,8 @@ def _zoo():
     g.lambda_finish(z.lam, [tout])
     g.omega_add_export("f", z.lam.outputs[0])
     z.phi = g.begin_phi(g.root)
-    g.add_ctx(z.phi, z.imp)
-    z.rarg, rout = g.phi_add_rec(z.phi, fnty([], [I64]))
+    g.add_ctx_vars(z.phi, [z.imp])
+    (z.rarg,), (rout,) = g.phi_add_recs(z.phi, [fnty([], [I64])])
     z.pbody = z.phi.subregions[0]
     pl = g.begin_lambda(z.pbody, "r")
     k = g.add_simple(pl.subregions[0], ops.const(1, I64), [])
@@ -416,7 +411,7 @@ def _break_gamma_owner(z):
 
 
 def _break_simple_signature(z):
-    z.add.op = ops.binop("add", I32)
+    z.add.op = ops.SimpleOp("add", I32)
     return ["node %d signature does not match operation add" % z.add.id]
 
 
@@ -598,7 +593,7 @@ def _break_kind(z):
 
 
 def _break_cycle(z):
-    n = z.g.add_simple(z.sub1, ops.binop("add", I64),
+    n = z.g.add_simple(z.sub1, ops.SimpleOp("add", I64),
                        [z.add.outputs[0], z.ec[1]])
     z.g.connect(z.add.inputs[0], n.outputs[0])
     return ["cycle among nodes of region %d" % z.sub1.id]
@@ -743,7 +738,7 @@ def test_topological_order_rejects_a_two_node_cycle():
     """[TRIVIAL] Two nodes feeding each other have no order."""
     g, lam, n = _simple_fn()
     body = lam.subregions[0]
-    m = g.add_simple(body, ops.binop("add", I64), [n.outputs[0], body.args[1]])
+    m = g.add_simple(body, ops.SimpleOp("add", I64), [n.outputs[0], body.args[1]])
     g.connect(n.inputs[0], m.outputs[0])
     with pytest.raises(GraphError):
         g.topological_order(body)
@@ -812,20 +807,18 @@ def _nest():
     z = SimpleNamespace(g=g)
     z.lam = g.begin_lambda(g.root, "f")
     z.body = z.lam.subregions[0]
-    p = g.lambda_add_param(z.lam, I1)
-    v = g.lambda_add_param(z.lam, I64)
+    p, v = g.lambda_add_params(z.lam, [I1, I64])
     z.th = g.begin_theta(z.body)
-    (lp, _), (lv, out) = (g.theta_add_loopvar(z.th, p),
-                          g.theta_add_loopvar(z.th, v))
+    (lp, lv), (_, out) = g.theta_add_loopvars(z.th, [p, v])
     z.tbody = z.th.subregions[0]
     m = g.add_simple(z.tbody, ops.identity_match(I1, 2), [lp])
     z.gam = g.begin_gamma(z.tbody, m.outputs[0], 2)
-    ev = g.gamma_add_entry(z.gam, lv)
+    (e0,), (e1,) = g.gamma_add_entries(z.gam, [lv])
     z.sub0, z.sub1 = z.gam.subregions
     z.one = g.add_simple(z.sub1, ops.const(1, I64), [])
-    z.add = g.add_simple(z.sub1, ops.binop("add", I64),
-                         [ev[1], z.one.outputs[0]])
-    gout = g.gamma_add_exit(z.gam, [ev[0], z.add.outputs[0]])
+    z.add = g.add_simple(z.sub1, ops.SimpleOp("add", I64),
+                         [e1, z.one.outputs[0]])
+    gout, = g.gamma_add_exits(z.gam, [[e0, z.add.outputs[0]]])
     stop = g.add_simple(z.tbody, ops.const(0, I1), [])
     tm = g.add_simple(z.tbody, ops.identity_match(I1, 2), [stop.outputs[0]])
     g.theta_set_predicate(z.th, tm.outputs[0])
@@ -838,19 +831,21 @@ def _nest():
 
 # Each fault goes through one edit primitive and breaks an invariant.
 FAULTS = {
-    "arg_on_one_alternative": lambda z: z.g._add_arg(z.sub0, I64),
-    "result_on_theta_body": lambda z: z.g._add_result(z.tbody, I64),
+    "arg_on_one_alternative": lambda z: z.g._splice(z.sub0, "args", [I64]),
+    "result_on_theta_body": lambda z: z.g._splice(z.tbody, "results",
+                                                  [I64]),
     "disconnected_result": lambda z: z.g.disconnect(z.body.results[0]),
     "cycle_by_connect": lambda z: z.g.connect(z.add.inputs[0],
                                               z.add.outputs[0]),
     "cycle_by_divert": lambda z: z.g.divert_users(z.one.outputs[0],
                                                   z.add.outputs[0]),
-    "gamma_output": lambda z: z.g._add_output(z.gam, I64),
-    "extra_input": lambda z: z.g._add_input(z.add, z.one.outputs[0]),
+    "gamma_output": lambda z: z.g._splice(z.gam, "outputs", [I64]),
+    "extra_input": lambda z: z.g._splice(z.add, "inputs", [I64],
+                                         origins=[z.one.outputs[0]]),
     "second_theta_region": lambda z: z.g._new_region(z.th, 1),
     "bare_node": lambda z: z.g._new_node(z.sub0, "simple",
                                          op=ops.const(2, I64)),
-    "ctx_on_gamma": lambda z: z.g.add_ctx(z.gam, z.tbody.args[0]),
+    "ctx_on_gamma": lambda z: z.g.add_ctx_vars(z.gam, [z.tbody.args[0]]),
     "alternative_result_dropped": lambda z: z.g._drop_ports(
         uses=[(z.sub1.results, {0})]),
 }
@@ -870,15 +865,53 @@ def test_changed_only_validate_reports_each_fault(fault):
     assert z.g.validate(changed_only=True) == bad
 
 
-def test_add_ctx_marks_the_node_region_and_its_body():
+def test_add_ctx_vars_marks_the_node_region_and_its_body():
     """[TRIVIAL] A context variable adds an input to the lambda and an
     argument to its body, so both regions are marked."""
     z = _nest()
     imp = z.g.omega_add_import("x", I64)
     assert z.g.validate() == []
-    z.g.add_ctx(z.lam, imp)
+    z.g.add_ctx_vars(z.lam, [imp])
     assert z.g._dirty == {z.g.root, z.body}
     assert z.g.validate(changed_only=True) == []
+
+
+def test_add_ctx_vars_splices_a_batch_ahead_of_the_parameters():
+    """[DERIVED] Two context variables added in one batch to a lambda
+    that has one context variable and two parameters land after the
+    first one and ahead of the parameters, in order; inputs and
+    arguments stay densely numbered, and the lambda's region and its
+    body are the regions marked."""
+    z = _nest()
+    g = z.g
+    imps = [g.omega_add_import("x%d" % k, I64) for k in range(3)]
+    first, = g.add_ctx_vars(z.lam, imps[:1])
+    params = z.body.args[1:]
+    assert len(params) == 2 and g.validate() == []
+    new = g.add_ctx_vars(z.lam, imps[1:])
+    assert z.body.args == [first] + new + params
+    assert [u.origin for u in z.lam.inputs] == imps
+    assert [a.ty for a in new] == [I64, I64] and z.lam.n_ctx == 3
+    assert _dense(z.lam.inputs, z.body.args)
+    assert g._dirty == {g.root, z.body}
+    assert g.validate(changed_only=True) == []
+
+
+def test_carried_names_the_outer_value_an_argument_holds():
+    """[DERIVED] A gamma argument holds its entry's origin, an invariant
+    theta argument the theta's input, and a lambda or phi context
+    argument the node's input; a changing loop variable, a parameter, a
+    recursion variable, an import and a node output hold their own."""
+    z = _zoo()
+    assert carried(z.body.args[0]) is z.imp
+    assert carried(z.ev[1]) is z.v
+    assert carried(z.ec[0]) is z.body.args[0]
+    assert carried(z.inner.args[0]) is z.th.inputs[0].origin
+    assert carried(z.pbody.args[0]) is z.imp
+    for port in (z.v, z.rarg, z.imp, z.add.outputs[0]):
+        assert carried(port) is None
+    n = _nest()
+    assert carried(n.tbody.args[1]) is None
 
 
 def test_changed_only_validate_skips_removed_regions():
@@ -887,7 +920,7 @@ def test_changed_only_validate_skips_removed_regions():
     check clears them."""
     z = _nest()
     assert z.g.validate() == []
-    z.g._add_arg(z.sub0, I64)
+    z.g._splice(z.sub0, "args", [I64])
     users = list(z.gam.outputs[0].users)
     for use in users:
         z.g.connect(use, z.tbody.args[1])

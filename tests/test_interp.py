@@ -17,7 +17,7 @@ from regionir.build import construct
 from regionir.graph import Graph
 from regionir.interp import (DEFAULT_FUEL, Machine, eval_cfg, eval_rvsdg,
                              run_to_outcome)
-from regionir.ops import binop, coerce_literal, const
+from regionir.ops import SimpleOp, coerce_literal, const
 from regionir.passes import dne, red
 from regionir.destruct import destruct
 from regionir.passes.pipeline import PASSES, run_pipeline
@@ -400,7 +400,7 @@ def test_plan_cache_sees_a_diverted_result():
     body = g.export_origin("live").node.subregions[0]
     add = body.results[0].origin.node
     a, b = (u.origin for u in add.inputs)
-    mul = g.add_simple(body, binop("mul", I64), [a, b])
+    mul = g.add_simple(body, SimpleOp("mul", I64), [a, b])
     g.divert_users(add.outputs[0], mul.outputs[0])
     assert outcome_rvsdg(g, "live", (3, 4)) == ("ok", [12], [])
 
@@ -422,7 +422,7 @@ def test_graph_version_counts_every_edit():
     bumped()
     two = g.add_simple(body, const(2, I64), [])
     bumped()
-    g.lambda_finish(lam, [one.outputs[0]])              # connect
+    g.lambda_finish(lam, [one.outputs[0]])              # _splice
     bumped()
     res = body.results[0]
     g.connect(res, two.outputs[0])

@@ -219,7 +219,7 @@ def test_inv_diverts_unchanging_loop_variables():
     assert not any(out.users for out in fixed)
     _checked(mod, g, "invariant read")
 
-    arg, _ = g.theta_add_loopvar(theta, theta.inputs[0].origin)
+    (arg,), _ = g.theta_add_loopvars(theta, [theta.inputs[0].origin])
     g.theta_set_result(theta, len(theta.inputs) - 1, arg)
     before = len(theta.inputs)
     dne.run(g)
@@ -275,8 +275,7 @@ def test_match_with_a_repeated_key_takes_the_first_entry():
     to case 1 (then 0), so f() selects the alternative returning 20."""
     g = Graph()
     lam = g.begin_lambda(g.root, "f")
-    mem = g.lambda_add_param(lam, MEM)
-    io = g.lambda_add_param(lam, IO)
+    mem, io = g.lambda_add_params(lam, [MEM, IO])
     body = lam.subregions[0]
     one = g.add_simple(body, const(1, I64), [])
     sel = g.add_simple(body, SimpleOp("match", I64, table=((1, 1), (1, 0)),
@@ -284,7 +283,7 @@ def test_match_with_a_repeated_key_takes_the_first_entry():
     gamma = g.begin_gamma(body, sel.outputs[0], 2)
     picks = [g.add_simple(sub, const(v, I64), []).outputs[0]
              for sub, v in zip(gamma.subregions, (10, 20))]
-    out = g.gamma_add_exit(gamma, picks)
+    out, = g.gamma_add_exits(gamma, [picks])
     g.lambda_finish(lam, [out, mem, io])
     g.omega_add_export("f", lam.outputs[0])
     assert g.validate() == []
@@ -732,7 +731,7 @@ def test_pipeline_names_the_step_that_broke_the_graph(monkeypatch):
 
     def breaking(g):
         gamma = next(n for n in g.all_nodes() if n.kind == "gamma")
-        g._add_arg(gamma.subregions[0], I64)
+        g._splice(gamma.subregions[0], "args", [I64])
 
     def counting(g):
         ran.append("DNE")
