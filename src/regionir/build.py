@@ -3,12 +3,12 @@
 Each function body is taken out of SSA form, restructured, reduced to a
 control tree, demand-annotated, and then translated region by region.
 A conditional becomes a gamma node whose entry variables are the
-demand of its alternatives and whose exit variables are the variables
-demanded after it that some alternative may write; every other
-demanded variable keeps the port it had before the gamma.  A loop
-becomes a theta node whose loop variables are what its body reads and
-what it may write that is demanded after it; other demanded variables
-pass it by too.  Ports come in `_Emitter.in_port_order`, which follows
+demand of its alternatives, each alternative binding only its own, and
+whose exit variables are the variables demanded after it that some
+alternative may write; every other demanded variable keeps the port it
+had before the gamma.  A loop becomes a theta node whose loop variables
+are what its body reads and what it may write that is demanded after
+it; other demanded variables pass it by too.  Ports come in `_Emitter.in_port_order`, which follows
 the program's structure, not its spelling.  The '.mem' and '.io'
 pseudo-variables travel through the same machinery, which threads the
 two state edges with no extra cases.
@@ -112,14 +112,24 @@ class _Emitter:
         node = g.begin_gamma(region, pred.outputs[0], k)
         entries = self.in_port_order(tree.entries)
         origins = [self.lookup(v, region, syms) for v in entries]
-        subsyms = [dict(zip(entries, args))
-                   for args in g.gamma_add_entries(node, origins)]
+        at = {v: l for l, v in enumerate(entries)}
+        readers = [[] for _ in entries]
+        for c, alt in enumerate(tree.alts):
+            for v in alt.demand_in:
+                readers[at[v]].append(c)
+        subsyms = [{v: a for v, a in zip(entries, args) if a is not None}
+                   for args in g.gamma_add_entries(node, origins, readers)]
         for c, alt in enumerate(tree.alts):
             self.emit(alt, node.subregions[c], subsyms[c])
         exits = self.in_port_order(tree.demand_out)
         origins = [[self.lookup(v, sub, subsyms[c])
                     for c, sub in enumerate(node.subregions)] for v in exits]
         syms.update(zip(exits, g.gamma_add_exits(node, origins)))
+        # a variable an alternative reads only into a dead copy is unread;
+        # its entry stays, as its origin's user, for DNE
+        for c, sub in enumerate(node.subregions):
+            g.remove_gamma_args(node, c, [a.index for a in sub.args
+                                          if not a.users])
 
     def _emit_theta(self, tree, region, syms):
         g = self.g

@@ -26,6 +26,7 @@ from .source import (Module, Function, GlobalVar, Block, Instr, Phi, Br,
                      Branch, Ret, Var, Lit, GlobalRef)
 from .ssa import NameGen
 from .ops import node_order
+from .graph import entry_arg
 
 
 class DestructError(Exception):
@@ -40,9 +41,10 @@ def _is_used(port):
     for use in port.users:
         node = use.node
         if node is not None and node.kind == "gamma" and use.index > 0:
-            if any(_is_used(sub.args[use.index - 1])
-                   for sub in node.subregions):
-                return True
+            for sub in node.subregions:
+                arg = entry_arg(sub, use.index - 1)
+                if arg is not None and _is_used(arg):
+                    return True
         elif node is None or node.kind != "simple" \
                 or node.op.name != "match" or _is_used(node.outputs[0]):
             return True
@@ -134,9 +136,9 @@ class _Lowerer:
         for sub in node.subregions:
             blk = self._block()
             self.cur = blk
-            inner = {arg: env[use.origin]
-                     for arg, use in zip(sub.args, node.inputs[1:])
-                     if arg.users and not use.ty.is_state}
+            inner = {arg: env[node.inputs[arg.index + 1].origin]
+                     for arg in sub.args
+                     if arg.users and not arg.ty.is_state}
             self.lower_region(sub, inner)
             # an empty alternative is an edge; a phi takes one per block
             if self.cur is blk and not blk.instrs \

@@ -15,13 +15,27 @@ out of id order in region r").  Region and node walks rest on it, and so
 does `topological_order`, which returns `region.nodes` itself when every
 in-region edge runs from a lower id to a higher one.
 
-Port indices are dense too, and variables are added and removed in
-batches.  Each constructor (`gamma_add_entries(g, origins)` and its
-siblings) takes a list and grows each port list it touches through one
-`_splice`: the batch goes in at one position, the list is renumbered
-once from there, and its region is marked once.  Each remover
-(`remove_gamma_entries(g, ls)` and its siblings take a set of variable
-indices) filters and renumbers each list once, through `_drop_ports`.
+Port indices are dense too, with one exception: a gamma alternative
+binds only the entries it reads.  A gamma has one input per entry
+variable, and each alternative holds an argument only for the entries
+it reads; that argument's `index` is its entry's index, and
+`region.args` holds the alternative's arguments in entry order.
+`entry_arg(sub, l)` finds an alternative's argument for entry `l`.
+`validate` checks that each alternative's argument indices strictly
+increase, that each names an entry, and that each argument has its
+entry's type.
+
+Variables are added and removed in batches.  Each constructor
+(`gamma_add_entries(g, origins, readers)` and its siblings) takes a
+list and grows each port list it touches through one `_splice`: the
+batch goes in at one position (an alternative's arguments by entry
+index), the list is renumbered once from there, and its region is
+marked once.  `gamma_add_args` binds more entries in one alternative.
+Each remover (`remove_gamma_entries(g, ls)` and its siblings take a set
+of variable indices) filters each list once through `_drop_ports`,
+which lowers every later index by the number of indices removed below
+it; `remove_gamma_args` unbinds entries in one alternative and leaves
+the other indices as they are.
 
 `validate` runs after construction and after every pass, so it is
 kept cheap.  After construction and after a schedule's last pass it
@@ -30,10 +44,10 @@ True)` checks only the regions edited since the last clean check, and
 their owners' signatures.  Types are interned (`types`), so a type
 compare is a pointer test and a compare of two type lists runs in C: a
 simple node's port types are compared with its operation's signature as
-two tuples, and each gamma alternative's argument and result types with
-the gamma's entry and exit types as two lists.  Only a node that fails
-such a compare, or one of another kind, goes through the check by check
-`_check_node`, which words the messages.  An edge's two ends are
+two tuples, and each gamma alternative's result types with the gamma's
+exit types as two lists.  Only a node that fails such a compare, or one
+of another kind, goes through the check by check `_check_node`, which
+words the messages.  An edge's two ends are
 compared the same way, and only a failing one goes through `_check_use`.
 
 Every edit goes through a few primitives -- `connect`, `disconnect`,
@@ -48,6 +62,7 @@ interpreter's plans and `validate`'s cycle check share one sort per
 region per edit; no module outside this one edits a graph.
 """
 
+import bisect
 import heapq
 import operator
 
@@ -229,14 +244,17 @@ class Graph:
         region.nodes.append(n)
         return n
 
-    def _splice(self, holder, name, tys, at=None, origins=()):
+    def _splice(self, holder, name, tys, at=None, origins=(), indices=None):
         """Insert fresh entries, one per type in `tys`, into the port
         list `name` of `holder` -- a node's "inputs" or "outputs", or a
         region's "args" or "results" -- at index `at` (by default the
         end).  The list is renumbered once from `at` and its region is
         marked once.  Inputs and results are linked to their `origins`
         as `connect` links them; results given no `origins` are left
-        unlinked.  Returns the new entries."""
+        unlinked.  With `indices`, the entries are a gamma
+        alternative's arguments for those entries, increasing: they are
+        merged into the list by index, and nothing is renumbered.
+        Returns the new entries."""
         if not tys:
             return []
         if type(holder) is Node:
@@ -249,6 +267,14 @@ class Graph:
             at = end
         cls = Use if name in ("inputs", "results") else Port
         made = []
+        if indices is not None:
+            for ty, i in zip(tys, indices):
+                made.append(cls(ty, i, node, region))
+            self._touch(region)
+            items += made
+            if end and items[end - 1].index > made[0].index:
+                items.sort(key=_getindex)   # merges the two sorted runs
+            return made
         for ty in tys:
             made.append(cls(ty, at + len(made), node, region))
         self._touch(region)
@@ -285,12 +311,32 @@ class Graph:
             self._new_region(n, i)
         return n
 
-    def gamma_add_entries(self, g, origins):
-        """One entry variable per origin; returns each alternative's new
-        arguments, in `origins` order."""
-        tys = [o.ty for o in origins]
-        self._splice(g, "inputs", tys, origins=origins)
-        return [self._splice(r, "args", tys) for r in g.subregions]
+    def gamma_add_entries(self, g, origins, readers):
+        """One entry variable per origin, bound in the alternatives that
+        `readers` gives for it, one collection of alternative indices
+        per origin.  Returns, for each alternative, a list parallel to
+        `origins` holding its new argument, or None where it does not
+        bind that entry."""
+        base = len(g.inputs) - 1
+        self._splice(g, "inputs", [o.ty for o in origins], origins=origins)
+        binds = [[] for _ in g.subregions]
+        for i, cs in enumerate(readers):
+            for c in cs:
+                binds[c].append(base + i)
+        out = []
+        for c, ls in enumerate(binds):
+            args = [None] * len(origins)
+            if ls:
+                for a in self.gamma_add_args(g, c, ls):
+                    args[a.index - base] = a
+            out.append(args)
+        return out
+
+    def gamma_add_args(self, g, c, ls):
+        """Bind the entries `ls`, increasing and not yet bound, in
+        alternative `c`; returns the new arguments."""
+        return self._splice(g.subregions[c], "args",
+                            [g.inputs[l + 1].ty for l in ls], indices=ls)
 
     def gamma_add_exits(self, g, exits):
         """One exit variable per entry of `exits`, a list holding one
@@ -432,30 +478,40 @@ class Graph:
             inner.region = None
         region.nodes = []
 
-    def _drop_ports(self, ports=(), uses=()):
+    def _drop_ports(self, ports=(), uses=(), shift=True):
         """Remove a batch of port-list entries.  `ports` and `uses` hold
-        (list, index set) pairs: ports are outputs or arguments and must
-        have no users, uses are inputs or results and get disconnected.
-        Every port is checked before anything changes; each list is then
-        filtered once and renumbered once, survivors keeping their order."""
+        (list, index set) pairs, each entry named by its `index`: ports
+        are outputs or arguments and must have no users, uses are inputs
+        or results and get disconnected.  Every port is checked before
+        anything changes; each list is then filtered once, survivors
+        keeping their order, and with `shift` each survivor's index is
+        lowered by the number of removed indices below it."""
         for items, idxs in ports:
-            for i in idxs:
-                if items[i].users:
-                    raise GraphError("removing %r, which still has users"
-                                     % items[i])
+            for p in items:
+                if p.users and p.index in idxs:
+                    raise GraphError("removing %r, which still has users" % p)
         for items, idxs in uses:
             for i in idxs:
                 self.disconnect(items[i])
         for items, idxs in list(ports) + list(uses):
-            if idxs:
+            if idxs and items:
                 self._touch(items[0].region)
-                items[:] = [p for i, p in enumerate(items) if i not in idxs]
-                _renumber(items)
+                items[:] = [p for p in items if p.index not in idxs]
+                if shift:
+                    _shift(items, idxs)
 
     def remove_gamma_entries(self, g, ls):
+        """Drop the entries `ls` and every alternative's argument for
+        them; the later entries' arguments are renumbered with them."""
         ls = set(ls)
         self._drop_ports(ports=[(r.args, ls) for r in g.subregions],
                          uses=[(g.inputs, {l + 1 for l in ls})])
+
+    def remove_gamma_args(self, g, c, ls):
+        """Unbind the entries `ls` in alternative `c`; the entries stay."""
+        if ls:
+            self._drop_ports(ports=[(g.subregions[c].args, set(ls))],
+                             shift=False)
 
     def remove_gamma_exits(self, g, ls):
         ls = set(ls)
@@ -562,8 +618,12 @@ class Graph:
 
     def _check_region(self, region, bad):
         rid = region.id
+        # a gamma alternative's argument indices name entries; its owner
+        # checks them
+        dense = region.owner.kind != "gamma"
         for i, a in enumerate(region.args):
-            if a.index != i or a.region is not region or a.node is not None:
+            if (a.index != i and dense) or a.region is not region \
+                    or a.node is not None:
                 bad.append("argument bookkeeping broken in region %d" % rid)
         for i, res in enumerate(region.results):
             if res.index != i or res.region is not region:
@@ -623,17 +683,24 @@ class Graph:
             if not (n.inputs and k and n.inputs[0].ty is ctl(k)):
                 bad.append("gamma %d predicate is not ctl%d" % (nid, k))
             entry, exit_ = [i.ty for i in n.inputs[1:]], [o.ty for o in n.outputs]
-            sigs = [([a.ty for a in r.args], [x.ty for x in r.results])
-                    for r in n.subregions]
+            sigs = [[x.ty for x in r.results] for r in n.subregions]
             if not sigs or any(sig != sigs[0] for sig in sigs):
                 bad.append("gamma %d subregion signatures differ" % nid)
-            for args, results in sigs:
-                if len(args) != len(entry):
-                    bad.append("gamma %d entry variables malformed" % nid)
+            for r, results in zip(n.subregions, sigs):
+                last = -1
+                for a in r.args:
+                    if not 0 <= a.index < len(entry):
+                        bad.append("gamma %d argument %r names no entry"
+                                   % (nid, a))
+                    elif a.index <= last:
+                        bad.append("gamma %d arguments of region %d out of "
+                                   "entry order" % (nid, r.id))
+                    elif a.ty is not entry[a.index]:
+                        bad.append("gamma %d argument %r typed unlike its "
+                                   "entry" % (nid, a))
+                    last = max(last, a.index)
                 if len(results) != len(exit_):
                     bad.append("gamma %d exit variables malformed" % nid)
-                if args[:len(entry)] != entry[:len(args)]:
-                    bad.append("gamma %d entry variable types differ" % nid)
                 if results[:len(exit_)] != exit_[:len(results)]:
                     bad.append("gamma %d exit variable types differ" % nid)
         elif n.kind == "theta":
@@ -707,6 +774,16 @@ def holds_loop(node):
         holds_loop(n) for sub in node.subregions for n in sub.nodes))
 
 
+def entry_arg(sub, l):
+    """The argument of gamma alternative `sub` bound to entry `l`, or
+    None if `sub` does not read that entry."""
+    args = sub.args
+    i = bisect.bisect_left(args, l, key=_getindex)
+    if i < len(args) and args[i].index == l:
+        return args[i]
+    return None
+
+
 def carried(port):
     """The port outside `port`'s region whose value the argument `port`
     always holds, or None: a gamma argument holds its entry's origin, a
@@ -756,14 +833,27 @@ def _check_use(use, region, bad):
 
 
 _getty = operator.attrgetter("ty")
+_getindex = operator.attrgetter("index")
+
+
+def _shift(items, gone):
+    """Lower the index of each of `items`, in index order, by the number
+    of indices in `gone` below it."""
+    gone = sorted(gone)
+    k, n = 0, len(gone)
+    for p in items:
+        while k < n and gone[k] < p.index:
+            k += 1
+        p.index -= k
 
 
 def _plainly_typed(n):
     """Whether a simple node or a gamma passes every check of
     `_check_node`, tested with whole-list type compares (types are
-    interned, so each element compare is a pointer test).  Other kinds,
-    and any node that fails here, go through `_check_node`, which finds
-    the messages."""
+    interned, so each element compare is a pointer test); a gamma
+    alternative's argument types are compared with those of the entries
+    their indices name.  Other kinds, and any node that fails here, go
+    through `_check_node`, which finds the messages."""
     kind = n.kind
     if kind == "simple":
         return not n.subregions and n.op.signature() == (
@@ -775,8 +865,17 @@ def _plainly_typed(n):
         return False
     entry = list(map(_getty, ins))[1:]
     exit_ = list(map(_getty, n.outputs))
-    return all(r.owner is n and list(map(_getty, r.args)) == entry
-               and list(map(_getty, r.results)) == exit_ for r in subs)
+    for r in subs:
+        if r.owner is not n or list(map(_getty, r.results)) != exit_:
+            return False
+        if r.args:
+            idx = list(map(_getindex, r.args))
+            if idx[0] < 0 or idx[-1] >= len(entry) \
+                    or not all(map(operator.lt, idx, idx[1:])) \
+                    or list(map(_getty, r.args)) != list(map(entry.__getitem__,
+                                                             idx)):
+                return False
+    return True
 
 
 def _sort(region):

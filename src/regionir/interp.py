@@ -522,9 +522,9 @@ def _gamma_step(node):
     pred_port = node.inputs[0].origin
     subs = node.subregions
     k = len(subs)
+    ins = node.inputs
     alt_binds = tuple(
-        tuple((arg, use.origin)
-              for arg, use in zip(sub.args, node.inputs[1:]) if arg.users)
+        tuple((arg, ins[arg.index + 1].origin) for arg in sub.args if arg.users)
         for sub in subs)
     plans = [None] * k
     outs = tuple(node.outputs)

@@ -20,10 +20,13 @@ The surviving representative of a congruence class is the port with the
 lowest sort key (region arguments first, then node ids ascending);
 everything else is diverted onto it and left for dead node elimination.
 An argument without users is neither merged nor diverted, since no use
-reads its class; most arguments of gamma alternatives are such.  The
-first congruent entry stays the representative whether or not it is
-read, so every class a use can see is the same as with them merged.
+reads its class.  The first congruent entry stays the representative
+whether or not it is read: an alternative that reads a later entry of
+the class is given an argument for the first, so every class a use can
+see is the same as with them merged.
 """
+
+from ..graph import entry_arg
 
 
 class _UnionFind:
@@ -97,17 +100,57 @@ def _merge_args(uf, uses, regions):
                     uf.union(sub.args[first], sub.args[l])
 
 
+def _merge_entries(graph, uf, node):
+    """Make each read argument of a gamma alternative congruent to the
+    alternative's argument for the first entry fed by a congruent
+    origin, binding that entry in the alternative if it is not yet."""
+    seen = {}
+    first = [seen.setdefault(uf.find(use.origin), l)
+             for l, use in enumerate(node.inputs[1:])]
+    for c, sub in enumerate(node.subregions):
+        moved = [a for a in sub.args if a.users and first[a.index] != a.index]
+        if not moved:
+            continue
+        bound = {a.index for a in sub.args}
+        graph.gamma_add_args(node, c, sorted({first[a.index] for a in moved}
+                                             - bound))
+        for a in moved:
+            uf.union(entry_arg(sub, first[a.index]), a)
+
+
 def _mark_gamma(graph, node, uf):
-    _merge_args(uf, node.inputs[1:], node.subregions)
+    _merge_entries(graph, uf, node)
     for sub in node.subregions:
         _mark(graph, sub, uf)
-    seen = {}
+    _mark_exits(node, uf)
+
+
+def _mark_exits(node, uf):
+    """Make congruent the exits whose results are congruent in every
+    alternative.  An exit's full key, one `find` per alternative, is
+    built only once its first alternative's class is shared with an
+    earlier exit; until then that class alone tells it apart."""
+    subs = node.subregions
+    heads = {}                  # first alternative's class -> exit, or None
+    seen = {}                   # full key -> exit
     for l, out in enumerate(node.outputs):
-        key = tuple(uf.find(sub.results[l].origin) for sub in node.subregions)
+        head = uf.find(subs[0].results[l].origin)
+        if head not in heads:
+            heads[head] = l
+            continue
+        prev = heads[head]
+        if prev is not None:
+            heads[head] = None
+            seen[_exit_key(subs, prev, uf)] = prev
+        key = _exit_key(subs, l, uf)
         if key in seen:
             uf.union(node.outputs[seen[key]], out)
         else:
             seen[key] = l
+
+
+def _exit_key(subs, l, uf):
+    return tuple(uf.find(sub.results[l].origin) for sub in subs)
 
 
 def _mark_theta(graph, node, uf):

@@ -4,9 +4,10 @@ Mark-and-sweep over ports.  The mark phase seeds the demand set with the
 omega region's exports and chases origins backwards through simple
 nodes and through the variables of the structural nodes.  The
 sweep removes undemanded nodes in reverse topological order, then trims
-dead entry, exit, loop, context, and recursion variables, and finally
-drops unreferenced imports.  Running the pass twice changes nothing the
-second time.
+dead exit, loop, context, and recursion variables and undemanded
+arguments of gamma alternatives, then the entries no alternative binds
+any more, and finally drops unreferenced imports.  Running the pass
+twice changes nothing the second time.
 
 Loops whose outputs are all dead are still executed by the reference
 semantics and may spin forever, so a theta sitting in live code is
@@ -106,11 +107,14 @@ def sweep(graph, region, demanded, kept):
 def _sweep_gamma(graph, node, demanded, kept):
     graph.remove_gamma_exits(node, [o.index for o in node.outputs
                                     if o not in demanded])
-    for sub in node.subregions:
+    bound = set()
+    for c, sub in enumerate(node.subregions):
         sweep(graph, sub, demanded, kept)
-    graph.remove_gamma_entries(node, [
-        l for l in range(len(node.inputs) - 1)
-        if not any(sub.args[l] in demanded for sub in node.subregions)])
+        graph.remove_gamma_args(node, c, [a.index for a in sub.args
+                                          if a not in demanded])
+        bound.update(a.index for a in sub.args)
+    graph.remove_gamma_entries(node, [l for l in range(len(node.inputs) - 1)
+                                      if l not in bound])
 
 
 def _sweep_theta(graph, node, demanded, kept):

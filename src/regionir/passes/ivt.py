@@ -105,9 +105,11 @@ def _invert(graph, node, gamma):
 
     outer = graph.begin_gamma(parent, p0, 2)
     stop, go = outer.subregions
+    # the exit iteration reads what the body reads; the loop takes all
     args0, args1 = graph.gamma_add_entries(
-        outer, [u.origin for u in node.inputs])
-    entry0, entry1 = dict(zip(body.args, args0)), dict(zip(body.args, args1))
+        outer, [u.origin for u in node.inputs],
+        [(0, 1) if a.users else (1,) for a in body.args])
+    entry0 = {a: a0 for a, a0 in zip(body.args, args0) if a0 is not None}
 
     # condition false on entry: the loop runs its exit iteration once
     map0 = _copy_iteration(graph, nodes, gamma, 0, stop, entry0)

@@ -12,13 +12,16 @@ so a whole chain sinks in one walk: once a node is sunk, the copy reads
 its operands through entry variables, and an operand whose only other
 users were sunk nodes is then itself used only by that gamma.  A live
 user is one that does not belong to a node already sunk.  An operand
-that already enters the gamma reuses that entry; a new entry is made
-only when none exists.  After the walk, each gamma drops the entries
-the walk emptied in one batch, and the originals are removed, so the
-pass leaves nothing for dead node elimination.  The walk then descends
-into the subregions, where a sunk chain keeps moving inward through
-nested gammas.
+that already enters the gamma reuses that entry, bound in the
+alternative if it is not yet; a new entry is made only when none
+exists, and only that alternative binds it.  After the walk, each gamma
+drops the entries the walk emptied in one batch, and the originals are
+removed, so the pass leaves nothing for dead node elimination.  The
+walk then descends into the subregions, where a sunk chain keeps moving
+inward through nested gammas.
 """
+
+from ..graph import entry_arg
 
 
 def run(graph):
@@ -55,14 +58,17 @@ def _sink(graph, region):
                 known[use.origin] = len(gamma.inputs) - 1 + len(fresh)
                 fresh.append(use.origin)
         if fresh:
-            graph.gamma_add_entries(gamma, fresh)
-        inner = [alt.args[known[use.origin]] for use in node.inputs]
+            graph.gamma_add_entries(gamma, fresh, [[c]] * len(fresh))
+        ls = {known[use.origin] for use in node.inputs}
+        graph.gamma_add_args(gamma, c, sorted(
+            l for l in ls if entry_arg(alt, l) is None))
+        inner = [entry_arg(alt, known[use.origin]) for use in node.inputs]
         moved = graph.add_simple(alt, node.op, inner)
         gone = emptied.setdefault(gamma, set())
         for out, new in zip(node.outputs, moved.outputs):
             for use in out.users:
                 if use.node is gamma:
-                    graph.divert_users(alt.args[use.index - 1], new)
+                    graph.divert_users(entry_arg(alt, use.index - 1), new)
                     gone.add(use.index - 1)
         sunk[node] = None
     for gamma, ls in emptied.items():
@@ -88,8 +94,10 @@ def _target(node, sunk):
                 gamma = g
             elif g is not gamma:
                 return None
-            readers.update(c for c, sub in enumerate(g.subregions)
-                           if sub.args[use.index - 1].users)
+            for c, sub in enumerate(g.subregions):
+                arg = entry_arg(sub, use.index - 1)
+                if arg is not None and arg.users:
+                    readers.add(c)
     if len(readers) != 1:
         return None
     return gamma, readers.pop()

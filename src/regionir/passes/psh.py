@@ -20,10 +20,11 @@ earlier already reads its route argument, and its home lies outward.
 
 Copies are shared per (target region, operation, operand ports), so two
 alternatives, two body nodes or two sibling gammas that hoist the same
-value share one copy; routes are shared per (structural node, outer
-port), so a gamma gains one entry variable, and a theta one loop
-variable, per value it passes in.  Both memos are only looked up, never
-iterated, so keying them by port identity keeps the output
+value share one copy; routes are shared per (subregion, outer port),
+and entries per (gamma, outer port), so a gamma gains one entry
+variable, bound only in the alternatives that read it, and a theta one
+loop variable, per value it passes in.  The memos are only looked up,
+never iterated, so keying them by port identity keeps the output
 deterministic.  A region's own nodes are handled before its structural
 nodes' subregions, in topological order, and the structural nodes in id
 order, so copies land in each region in the order hoisting one level at
@@ -43,7 +44,8 @@ class _Hoister:
     def __init__(self, graph):
         self.graph = graph
         self.copies = {}    # (region, op, operand ports) -> copy node
-        self.routes = {}    # (structural node, outer port) -> inner argument(s)
+        self.routes = {}    # (subregion, outer port) -> its argument
+        self.entries = {}   # (gamma, outer port) -> the entry's input
 
     def walk(self, region, path, floor, trap_floor):
         """Hoist what can leave `region`, then walk its subregions.
@@ -90,12 +92,22 @@ class _Hoister:
     def route(self, inner, port):
         """The argument of region `inner` that carries `port`, a port of
         the region around it, adding an entry or loop variable to
-        `inner`'s owner the first time."""
-        key = (inner.owner, port)
-        args = self.routes.get(key)
-        if args is None:
-            args = self.routes[key] = enter(self.graph, inner.owner, port)
-        return args[inner.owner_index]
+        `inner`'s owner the first time, and binding a gamma's entry in
+        each alternative the first time that alternative needs it."""
+        key = (inner, port)
+        arg = self.routes.get(key)
+        if arg is None:
+            owner = inner.owner
+            entry = self.entries.get((owner, port))
+            if entry is None:
+                arg = enter(self.graph, inner, port)
+                if owner.kind == "gamma":
+                    self.entries[owner, port] = owner.inputs[-1]
+            else:
+                arg, = self.graph.gamma_add_args(owner, inner.owner_index,
+                                                 [entry.index - 1])
+            self.routes[key] = arg
+        return arg
 
 
 def _chain(port, limit):

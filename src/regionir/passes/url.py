@@ -49,10 +49,15 @@ def _expand(graph, body, region, nodes, origins, vals, pred, depth, factor):
     gamma = graph.begin_gamma(region, pred, 2)
     stop, go = gamma.subregions
     ls = sorted(vals)
-    stop_args, go_args = graph.gamma_add_entries(gamma, [vals[l] for l in ls])
+    # the stop side passes every value through; the replica reads what
+    # the body reads
+    stop_args, go_args = graph.gamma_add_entries(
+        gamma, [vals[l] for l in ls],
+        [(0, 1) if body.args[l].users else (0,) for l in ls])
     zero = graph.add_simple(stop, const(0, ctl(2)), []).outputs[0]
 
-    portmap = {body.args[l]: arg for l, arg in zip(ls, go_args)}
+    portmap = {body.args[l]: arg for l, arg in zip(ls, go_args)
+               if arg is not None}
     copy_nodes(graph, nodes, go, portmap)
     nvals = {l: portmap[origins[l + 1]] for l in vals}
     npred = portmap[origins[0]]

@@ -3,9 +3,11 @@
 `dump` produces a stable, byte-reproducible textual form of the region
 graph: node ids are assigned in construction order and every traversal
 is id-ordered, so two graphs built from the same input render
-identically.  The `dot_*` functions emit Graphviz for the three views a
-program passes through: the source CFG, the annotated control tree, and
-the region graph itself.
+identically.  A region's arguments print by index, so a gamma
+alternative's argument prints as `a<entry>`, the entry it binds.  The
+`dot_*` functions emit Graphviz for the three views a program passes
+through: the source CFG, the annotated control tree, and the region
+graph itself.
 """
 
 from .source import successors
@@ -31,7 +33,7 @@ def dump(graph):
 
 def _dump_region(graph, region, out, depth):
     pad = "  " * depth
-    args = ", ".join("a%d:%s" % (i, a.ty) for i, a in enumerate(region.args))
+    args = ", ".join("a%d:%s" % (a.index, a.ty) for a in region.args)
     out.append("%sregion r%d [%s]" % (pad, region.id, args))
     for node in graph.topological_order(region):
         ins = ", ".join(_portname(u.origin) for u in node.inputs)

@@ -214,7 +214,7 @@ def test_a_value_only_passed_on_unread_gets_no_phi():
     c = g.add_simple(body, ops.SimpleOp("ne", I64), [dec, zero]).outputs[0]
     m = g.add_simple(body, ops.identity_match(I1, 2), [c]).outputs[0]
     gamma = g.begin_gamma(body, m, 2)
-    g.gamma_add_entries(gamma, [passed])
+    g.gamma_add_entries(gamma, [passed], [(0, 1)])
     g.add_simple(body, ops.identity_match(I64, 2), [passed])
     g.theta_set_predicate(th, m)
     g.theta_set_result(th, 0, dec)

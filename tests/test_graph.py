@@ -10,8 +10,10 @@ from types import SimpleNamespace
 import pytest
 
 from regionir.build import construct
-from regionir.graph import Graph, GraphError, Port, Region, Use, carried
+from regionir.graph import (Graph, GraphError, Port, Region, Use, carried,
+                            entry_arg)
 from regionir.parser import parse
+from regionir.render import dump
 from regionir.passes import PassConfig, run_pipeline
 from regionir.passes.pipeline import PASSES
 from regionir import ops, randprog
@@ -106,7 +108,7 @@ def test_gamma_shape():
     a, v = g.lambda_add_params(lam, [I1, I64])
     m = g.add_simple(body, ops.identity_match(I1, 2), [a])
     gam = g.begin_gamma(body, m.outputs[0], 2)
-    (e0,), (e1,) = g.gamma_add_entries(gam, [v])
+    (e0,), (e1,) = g.gamma_add_entries(gam, [v], [(0, 1)])
     one = g.add_simple(gam.subregions[1], ops.const(1, I64), [])
     add = g.add_simple(gam.subregions[1], ops.SimpleOp("add", I64),
                        [e1, one.outputs[0]])
@@ -173,7 +175,7 @@ def test_remove_gamma_entries_and_exits_in_one_batch():
     sel = g.add_simple(body, ops.const(0, I1), [])
     m = g.add_simple(body, ops.identity_match(I1, 2), [sel.outputs[0]])
     gam = g.begin_gamma(body, m.outputs[0], 2)
-    alts = g.gamma_add_entries(gam, vs)
+    alts = g.gamma_add_entries(gam, vs, [(0, 1)] * 5)
     outs = g.gamma_add_exits(gam, [[args[e] for args in alts]
                                    for e in (0, 2, 4, 4)])
     g.lambda_finish(lam, [outs[1], outs[3]])
@@ -192,6 +194,45 @@ def test_remove_gamma_entries_and_exits_in_one_batch():
         assert [r.origin for r in sub.results] == [sub.args[1], sub.args[2]]
         assert _dense(sub.args, sub.results)
     assert _dense(gam.inputs, gam.outputs)
+    assert g.validate() == []
+
+
+def test_alternatives_bind_only_the_entries_they_read():
+    """[DERIVED] A three-way gamma with four entries: alternative 0
+    binds entries 0 and 2, alternative 1 binds entry 3, alternative 2
+    none.  Each argument carries its entry's index, the arguments sit in
+    entry order, `dump` prints them by entry, and the graph is valid.
+    A later binding merges into that order; unbinding keeps the entries;
+    dropping entries drops their arguments and lowers the later
+    indices."""
+    g = Graph()
+    lam, vs = _lambda_with_params(g, 4)
+    body = lam.subregions[0]
+    sel = g.add_simple(body, ops.const(0, I64), [])
+    m = g.add_simple(body, ops.identity_match(I64, 3), [sel.outputs[0]])
+    gam = g.begin_gamma(body, m.outputs[0], 3)
+    a0, a1, a2 = g.gamma_add_entries(gam, vs, [(0,), (), (0,), (1,)])
+    sub0, sub1, sub2 = gam.subregions
+    assert a0[1] is a0[3] is None and a1[:3] == [None] * 3
+    assert a2 == [None] * 4
+    assert sub0.args == [a0[0], a0[2]] and sub1.args == [a1[3]]
+    assert [a.index for a in sub0.args + sub1.args] == [0, 2, 3]
+    assert entry_arg(sub0, 2) is a0[2] and entry_arg(sub0, 1) is None
+    k = g.add_simple(sub2, ops.const(5, I64), [])
+    out, = g.gamma_add_exits(gam, [[a0[2], a1[3], k.outputs[0]]])
+    g.lambda_finish(lam, [out])
+    assert g.validate() == []
+    assert "region r%d [a0:i64, a2:i64]" % sub0.id in dump(g)
+
+    new, = g.gamma_add_args(gam, 0, [1])
+    assert sub0.args == [a0[0], new, a0[2]] and new.index == 1
+    assert g.validate() == []
+    g.remove_gamma_args(gam, 0, [0, 1])
+    assert sub0.args == [a0[2]] and a0[2].index == 2
+    assert len(gam.inputs) == 5 and g.validate() == []
+    g.remove_gamma_entries(gam, {0, 1})
+    assert [u.origin for u in gam.inputs[1:]] == vs[2:]
+    assert (a0[2].index, a1[3].index) == (0, 1)
     assert g.validate() == []
 
 
@@ -300,7 +341,7 @@ def _zoo():
     p, z.v = g.lambda_add_params(z.lam, [I1, I64])
     z.m = g.add_simple(z.body, ops.identity_match(I1, 2), [p])
     z.gam = g.begin_gamma(z.body, z.m.outputs[0], 2)
-    alts = g.gamma_add_entries(z.gam, [z.v, ctx])
+    alts = g.gamma_add_entries(z.gam, [z.v, ctx], [(0, 1)] * 2)
     z.ev, z.ec = [list(args) for args in zip(*alts)]
     z.sub0, z.sub1 = z.gam.subregions
     z.add = g.add_simple(z.sub1, ops.SimpleOp("add", I64), [z.ev[1], z.ec[1]])
@@ -440,17 +481,27 @@ def _break_gamma_predicate(z):
             "gamma %d predicate is not ctl2" % z.gam.id]
 
 
-def _break_gamma_signatures(z):
+def _break_gamma_arg_type(z):
     z.ev[0].ty = I32
-    return ["gamma %d subregion signatures differ" % z.gam.id,
-            "gamma %d entry variable types differ" % z.gam.id,
+    return ["gamma %d argument %r typed unlike its entry" % (z.gam.id, z.ev[0]),
             "type mismatch i64 vs i32 at %r" % z.sub0.results[0]]
 
 
-def _break_gamma_entries(z):
-    z.sub1.args.pop()
-    return ["gamma %d subregion signatures differ" % z.gam.id,
-            "gamma %d entry variables malformed" % z.gam.id]
+def _break_gamma_arg_entry(z):
+    z.ec[1].index = 2
+    return ["gamma %d argument %r names no entry" % (z.gam.id, z.ec[1])]
+
+
+def _break_gamma_arg_twice(z):
+    z.ec[1].index = 0
+    return ["gamma %d arguments of region %d out of entry order"
+            % (z.gam.id, z.sub1.id)]
+
+
+def _break_gamma_arg_order(z):
+    z.sub1.args.reverse()
+    return ["gamma %d arguments of region %d out of entry order"
+            % (z.gam.id, z.sub1.id)]
 
 
 def _break_gamma_exits(z):
@@ -462,7 +513,8 @@ def _break_gamma_exits(z):
 def _break_gamma_entry_types(z):
     for sub in z.gam.subregions:
         sub.args[0].ty = I32
-    return ["gamma %d entry variable types differ" % z.gam.id] * 2 + [
+    return ["gamma %d argument %r typed unlike its entry" % (z.gam.id, arg)
+            for arg in z.ev] + [
         "type mismatch i64 vs i32 at %r" % z.sub0.results[0],
         "type mismatch i64 vs i32 at %r" % z.add.inputs[0]]
 
@@ -612,7 +664,8 @@ BREAKAGES = [
     _break_dangling_use, _break_subregion_owner, _break_gamma_owner,
     _break_simple_signature, _break_simple_subregions,
     _break_gamma_count, _break_gamma_no_subregion, _break_gamma_predicate,
-    _break_gamma_signatures, _break_gamma_entries, _break_gamma_exits,
+    _break_gamma_arg_type, _break_gamma_arg_entry, _break_gamma_arg_twice,
+    _break_gamma_arg_order, _break_gamma_exits,
     _break_gamma_entry_types, _break_gamma_exit_types,
     _break_theta_count, _break_theta_no_subregion, _break_theta_tuples,
     _break_theta_predicate, _break_theta_loopvar,
@@ -813,7 +866,7 @@ def _nest():
     z.tbody = z.th.subregions[0]
     m = g.add_simple(z.tbody, ops.identity_match(I1, 2), [lp])
     z.gam = g.begin_gamma(z.tbody, m.outputs[0], 2)
-    (e0,), (e1,) = g.gamma_add_entries(z.gam, [lv])
+    (e0,), (e1,) = g.gamma_add_entries(z.gam, [lv], [(0, 1)])
     z.sub0, z.sub1 = z.gam.subregions
     z.one = g.add_simple(z.sub1, ops.const(1, I64), [])
     z.add = g.add_simple(z.sub1, ops.SimpleOp("add", I64),
@@ -831,7 +884,12 @@ def _nest():
 
 # Each fault goes through one edit primitive and breaks an invariant.
 FAULTS = {
-    "arg_on_one_alternative": lambda z: z.g._splice(z.sub0, "args", [I64]),
+    "arg_naming_no_entry": lambda z: z.g._splice(z.sub0, "args", [I64]),
+    "second_arg_for_an_entry": lambda z: z.g._splice(z.sub1, "args", [I64],
+                                                     indices=[0]),
+    "arg_typed_unlike_its_entry": lambda z: (
+        z.g.gamma_add_entries(z.gam, [z.tbody.args[0]], [()]),
+        z.g._splice(z.sub0, "args", [I64], indices=[1])),
     "result_on_theta_body": lambda z: z.g._splice(z.tbody, "results",
                                                   [I64]),
     "disconnected_result": lambda z: z.g.disconnect(z.body.results[0]),
@@ -849,6 +907,32 @@ FAULTS = {
     "alternative_result_dropped": lambda z: z.g._drop_ports(
         uses=[(z.sub1.results, {0})]),
 }
+
+
+# What the faults on a gamma alternative's arguments are reported as.
+ARGUMENT_FAULT_MESSAGES = {
+    "arg_naming_no_entry": lambda z: [
+        "gamma %d argument %r names no entry" % (z.gam.id, z.sub0.args[1])],
+    "second_arg_for_an_entry": lambda z: [
+        "gamma %d arguments of region %d out of entry order"
+        % (z.gam.id, z.sub1.id)],
+    "arg_typed_unlike_its_entry": lambda z: [
+        "gamma %d argument %r typed unlike its entry"
+        % (z.gam.id, entry_arg(z.sub0, 1))],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ARGUMENT_FAULT_MESSAGES))
+def test_changed_only_validate_words_each_argument_fault(fault):
+    """[DERIVED] An alternative may bind any entries it likes, one
+    argument each, in entry order and at the entry's type; a fault
+    against that, made through an edit primitive, is reported by the
+    changed-regions check in exactly its own words."""
+    z = _nest()
+    assert z.g.validate() == []
+    FAULTS[fault](z)
+    assert z.g.validate(changed_only=True) == \
+        ARGUMENT_FAULT_MESSAGES[fault](z)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))

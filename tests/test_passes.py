@@ -138,6 +138,33 @@ def test_dne_mark_matches_sweep():
         assert dead == []
 
 
+def _gamma_args(graph):
+    """Every gamma of `graph` with its alternatives' arguments."""
+    return [(n, [a for sub in n.subregions for a in sub.args])
+            for n in graph.all_nodes() if n.kind == "gamma"]
+
+
+@pytest.mark.parametrize("source", ["ladder:3", "ladder:7"] + corpus_files())
+def test_default_schedule_leaves_only_read_alternative_arguments(source):
+    """[DERIVED] An alternative binds only the entries it reads.  After
+    the default schedule, on every corpus program and on the ladder
+    programs of seeds 3 and 7 at every size from 1 to 16, every argument
+    of a gamma alternative has a user, and every entry is bound by at
+    least one alternative."""
+    if source.startswith("ladder:"):
+        mods = [load_source("%s:%d" % (source, size))
+                for size in range(1, 17)]
+    else:
+        mods = [load_corpus(source)]
+    for mod in mods:
+        g = construct(mod)
+        run_pipeline(g)
+        for gamma, args in _gamma_args(g):
+            assert all(a.users for a in args), (source, gamma)
+            assert {a.index for a in args} == \
+                set(range(len(gamma.inputs) - 1)), (source, gamma)
+
+
 # -- CNE --------------------------------------------------------------------
 
 def test_cne_merges_congruent_multiplications():
@@ -441,6 +468,34 @@ def test_psh_moves_a_trapping_op_out_of_a_loop_but_not_a_branch():
     assert _ops(g, "div") == [copy]
     assert built == node_count(g) == 20
     _checked(mod, g, "trapping two-level hoist")
+
+
+def test_psh_routes_a_value_into_one_alternative_of_four():
+    """[DERIVED] Only the second of four alternatives computes p + q.
+    PSH copies it out of the gamma and routes it back through one new
+    entry, which that alternative alone binds: one entry and one
+    argument, where binding every alternative would add four."""
+    mod = parse("export define i64 @f(i64 %s, i64 %p, i64 %q) {\n"
+                "e:\n  branch i64 %s, [%a, %b, %c, %d]\n"
+                "a:\n  ret i64 %p\n"
+                "b:\n  %x = add i64 %p, %q\n  ret i64 %x\n"
+                "c:\n  ret i64 %q\n"
+                "d:\n  ret i64 %s\n}")
+    check_module(mod)
+    g = build(mod)
+    ((gamma, args),) = _gamma_args(g)
+    assert len(gamma.subregions) == 4
+    entries = len(gamma.inputs)
+    psh.run(g)
+    assert _copies(gamma) == ["add"]
+    assert len(gamma.inputs) == entries + 1
+    ((_, after),) = _gamma_args(g)
+    assert len(after) == len(args) + 1
+    (new,) = set(after) - set(args)
+    assert new.region is gamma.subregions[1]
+    assert new.index == entries - 1
+    dne.run(g)
+    _checked(mod, g, "one of four alternatives")
 
 
 def test_psh_second_run_adds_nothing(fixture_name):

@@ -1,4 +1,4 @@
-"""Same-output check: two digests of everything the compiler emits, to
+"""Same-output check: digests of everything the compiler emits, to
 compare two trees that should compile every program identically.
 
 The programs are the 34 corpus programs, the randprog ladder (seeds 3
@@ -10,15 +10,19 @@ the constructed graph, the pass manager's step list, the dump of the
 optimized graph, the printed destructed module and the dump of that
 module constructed again.
 
-Two digests are printed.  The first hashes the dumps as they are.  The
+Three digests are printed.  The first hashes the dumps as they are.  The
 second renumbers the dumps' node and region ids in order of first
 appearance, so two trees that build the same graphs with different ids
-print the same second digest; the other texts hold no ids.
+print the same second digest; the other texts hold no ids.  The third,
+`kept:`, hashes only the step lists and the printed destructed modules,
+so two trees that build different graphs on the way (different ports,
+say) but compile every program to the same code print the same third
+digest.
 
     PYTHONPATH=src python tools/same_output.py
 
 Run it at both trees (set PYTHONPATH to each tree's `src`) and compare
-the two lines it prints.  It runs about seven minutes on one core.
+the lines it prints.  It runs about seven minutes on one core.
 """
 
 import hashlib
@@ -90,7 +94,8 @@ def outputs(mod, schedule):
 
 def main():
     t0 = time.time()
-    with_ids, no_ids = hashlib.sha256(), hashlib.sha256()
+    with_ids, no_ids, kept = (hashlib.sha256(), hashlib.sha256(),
+                              hashlib.sha256())
     runs = 0
     progs = programs()
     for name, mod in progs:
@@ -99,14 +104,18 @@ def main():
             head = ("%s %s\n" % (name, " ".join(schedule))).encode()
             with_ids.update(head)
             no_ids.update(head)
+            kept.update(head)
             for text, is_dump in outputs(mod, schedule):
                 with_ids.update(text.encode() + b"\0")
                 no_ids.update((without_ids(text) if is_dump else text)
                               .encode() + b"\0")
+                if not is_dump:
+                    kept.update(text.encode() + b"\0")
     print("%d programs, %d runs, %.0f s"
           % (len(progs), runs, time.time() - t0))
     print("with ids:    %s" % with_ids.hexdigest())
     print("without ids: %s" % no_ids.hexdigest())
+    print("kept:        %s" % kept.hexdigest())
     return 0
 
 
