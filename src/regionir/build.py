@@ -280,7 +280,7 @@ def _build_single(g, module, ipg, name, symtab):
         return
     if name in module.globals_:
         gv = module.globals_[name]
-        delta = g.begin_delta(g.root, name, lift(gv.ty))
+        delta = g.begin_delta(g.root, name)
         refsyms = _capture(g, delta, ipg[name], symtab)
         symtab[name] = translate_initializer(g, delta, gv, refsyms)
         return

@@ -275,7 +275,7 @@ def destruct(graph):
             module.order.append(node.name)
         elif node.kind == "delta":
             portname[node.outputs[0]] = node.name
-            ty = lower(node.op.ty)
+            ty = lower(node.subregions[0].results[0].ty)
             module.globals_[node.name] = GlobalVar(
                 node.name, ty, blocks=construct_ssa(graph, node, portname,
                                                     [], ty))

@@ -42,13 +42,9 @@ kept cheap.  After construction and after a schedule's last pass it
 walks the whole graph; after the other passes, `validate(changed_only=
 True)` checks only the regions edited since the last clean check, and
 their owners' signatures.  Types are interned (`types`), so a type
-compare is a pointer test and a compare of two type lists runs in C: a
-simple node's port types are compared with its operation's signature as
-two tuples, and each gamma alternative's result types with the gamma's
-exit types as two lists.  Only a node that fails such a compare, or one
-of another kind, goes through the check by check `_check_node`, which
-words the messages.  An edge's two ends are
-compared the same way, and only a failing one goes through `_check_use`.
+compare is a pointer test.  Each node goes through `_check_node` once.
+An edge's two ends are compared inline, and only a failing one goes
+through `_check_use`, which words the messages.
 
 Every edit goes through a few primitives -- `connect`, `disconnect`,
 `divert_users`, region and node creation, `_splice`, `remove_node` and
@@ -67,7 +63,6 @@ import heapq
 import operator
 
 from .types import ctl, fnty, PTR
-from .ops import SimpleOp
 
 STRUCTURAL = ("gamma", "theta", "lambda", "delta", "phi", "omega")
 
@@ -405,9 +400,8 @@ class Graph:
 
     # delta
 
-    def begin_delta(self, region, name, elem_ty):
+    def begin_delta(self, region, name):
         n = self._new_node(region, "delta", name=name)
-        n.op = SimpleOp("delta", elem_ty)   # remembers the cell type
         self._new_region(n, 0)
         return n
 
@@ -595,8 +589,7 @@ class Graph:
                     owners.add(region.owner)
             for owner in owners:
                 # an owner in a checked region has been checked with it
-                if (owner.region is not None and owner.region not in dirty
-                        and not _plainly_typed(owner)):
+                if owner.region is not None and owner.region not in dirty:
                     self._check_node(owner, bad)
             if bad:
                 return self.validate()
@@ -653,8 +646,7 @@ class Graph:
                 for u in out.users:
                     if u.origin is not out:
                         bad.append("user list broken on node %d" % nid)
-            if not _plainly_typed(n):
-                self._check_node(n, bad)
+            self._check_node(n, bad)
         try:
             self.topological_order(region)
         except GraphError as e:
@@ -845,37 +837,6 @@ def _shift(items, gone):
         while k < n and gone[k] < p.index:
             k += 1
         p.index -= k
-
-
-def _plainly_typed(n):
-    """Whether a simple node or a gamma passes every check of
-    `_check_node`, tested with whole-list type compares (types are
-    interned, so each element compare is a pointer test); a gamma
-    alternative's argument types are compared with those of the entries
-    their indices name.  Other kinds, and any node that fails here, go
-    through `_check_node`, which finds the messages."""
-    kind = n.kind
-    if kind == "simple":
-        return not n.subregions and n.op.signature() == (
-            tuple(map(_getty, n.inputs)), tuple(map(_getty, n.outputs)))
-    if kind != "gamma":
-        return False
-    subs, ins = n.subregions, n.inputs
-    if len(subs) < 2 or not ins or ins[0].ty is not ctl(len(subs)):
-        return False
-    entry = list(map(_getty, ins))[1:]
-    exit_ = list(map(_getty, n.outputs))
-    for r in subs:
-        if r.owner is not n or list(map(_getty, r.results)) != exit_:
-            return False
-        if r.args:
-            idx = list(map(_getindex, r.args))
-            if idx[0] < 0 or idx[-1] >= len(entry) \
-                    or not all(map(operator.lt, idx, idx[1:])) \
-                    or list(map(_getty, r.args)) != list(map(entry.__getitem__,
-                                                             idx)):
-                return False
-    return True
 
 
 def _sort(region):

@@ -38,7 +38,7 @@ def _dump_region(graph, region, out, depth):
     for node in graph.topological_order(region):
         ins = ", ".join(_portname(u.origin) for u in node.inputs)
         outs = ", ".join(str(o.ty) for o in node.outputs)
-        label = node.opname if node.kind == "simple" else node.kind
+        label = node.opname
         if node.name:
             label += " @" + node.name
         out.append("%s  n%d = %s (%s) -> [%s]" % (pad, node.id, label, ins, outs))
@@ -70,7 +70,7 @@ def _dot_region(graph, region, out, label):
         args = "|".join("<a%d> a%d" % (a.index, a.index) for a in region.args)
         out.append('    r%dargs [shape=record, label="%s"];' % (region.id, args))
     for node in graph.topological_order(region):
-        name = node.opname if node.kind == "simple" else node.kind
+        name = node.opname
         if node.name:
             name += " @" + node.name
         if node.subregions:

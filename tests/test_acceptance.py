@@ -44,7 +44,7 @@ from regionir.parser import parse, check_module
 from regionir.passes import PassConfig, run_pipeline
 from regionir.passes.pipeline import PASSES, node_count
 from regionir.passes import cne, dne
-from regionir.source import instr_reads, instr_writes, successors
+from regionir.source import code_size, instr_reads, instr_writes, successors
 from regionir.interp import DEFAULT_FUEL
 
 from conftest import (FUEL_OVERRIDE, assert_closes, assert_equivalent, build,
@@ -66,11 +66,6 @@ def _random_module(seed):
         _module_cache[seed] = parse(randprog.generate(
             seed, size=RANDOM_SIZES[seed]))
     return _module_cache[seed]
-
-
-def _instr_count(mod):
-    return sum(len(b.phis) + len(b.instrs) + 1
-               for fn in mod.functions.values() for b in fn.blocks)
 
 
 def _random_triple_ok(seed, mod, back, n_inputs):
@@ -420,10 +415,10 @@ def test_criterion_7_node_count_tracks_instruction_count():
     points = []
     for fixture in corpus_files():
         mod = load_corpus(fixture)
-        points.append((_instr_count(mod), node_count(construct(mod))))
+        points.append((code_size(mod), node_count(construct(mod))))
     for seed in range(N_RANDOM):
         mod = _random_module(seed)
-        points.append((_instr_count(mod), node_count(construct(mod))))
+        points.append((code_size(mod), node_count(construct(mod))))
     assert max(y / x for x, y in points) <= RATIO_BOUND
     n = len(points)
     mean_x = sum(x for x, _ in points) / n

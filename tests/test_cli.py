@@ -291,6 +291,16 @@ def test_endless_function_with_a_result(tmp_path):
     assert "@spin: 3 samples ok" in text
 
 
+def test_opt_leaves_an_endless_loop_one_constant_branch():
+    """[DERIVED] The loop's constant predicate reaches its unrolled body
+    as an invariant loop variable, and RED reads it there: the copies'
+    exit tests are inlined, and only the loop's own `branch i64 1`
+    is left."""
+    code, text = run_cli("opt", corpus_path("endless.ir"))
+    assert code == 0
+    assert text.count("branch i64 1,") == 1
+
+
 def test_opt_then_stats_shows_the_merged_multiplication(tmp_path):
     """[DERIVED] CNE+DNE merges one of four multiplications: stats on
     the optimized output reports op.mul=3 where the input had 4."""

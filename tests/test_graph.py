@@ -331,7 +331,7 @@ def _zoo():
     g = Graph()
     z = SimpleNamespace(g=g)
     z.imp = g.omega_add_import("x", I64)
-    z.d = g.begin_delta(g.root, "d", I64)
+    z.d = g.begin_delta(g.root, "d")
     z.dreg = z.d.subregions[0]
     z.c = g.add_simple(z.dreg, ops.const(7, I64), [])
     g.delta_finish(z.d, z.c.outputs[0])

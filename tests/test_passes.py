@@ -285,6 +285,39 @@ def test_red_inlines_constant_predicate_gamma():
     _checked(mod, g, "const branch")
 
 
+def test_red_inlines_nested_constant_branches_in_one_run():
+    """[DERIVED] Six branches on the literal 1, each nested in the
+    taken arm of the one before: RED inlines every inlined copy's
+    constant gamma in the same run, so none is left after DNE."""
+    blocks = "".join("b%d:\n  branch i1 1, [%%r%d, %%b%d]\nr%d:\n"
+                     "  ret i64 %d\n" % (i, i, i + 1, i, i)
+                     for i in range(6))
+    mod = _fn(blocks + "b6:\n  ret i64 %a\n", params="i64 %a")
+    g = build(mod)
+    red.run(g)
+    dne.run(g)
+    assert not any(n.kind == "gamma" for n in g.all_nodes())
+    _checked(mod, g, "nested const branches")
+
+
+def test_red_reads_a_constant_through_region_arguments():
+    """[DERIVED] %k = 5 reaches the arm as a gamma entry, and the loop
+    body in the other arm as an entry and then an invariant loop
+    variable: RED folds k+1 and k*2 through both."""
+    mod = _fn("e:\n  %k = add i64 2, 3\n  %c = lt i64 %a, 0\n"
+              "  branch i1 %c, [%h, %t]\n"
+              "t:\n  %x = add i64 %k, 1\n  ret i64 %x\n"
+              "h:\n  %i = phi i64 [%a, %e], [%j, %h]\n"
+              "  %m = mul i64 %k, 2\n  %j = sub i64 %i, %m\n"
+              "  %d = gt i64 %j, 0\n  branch i1 %d, [%o, %h]\n"
+              "o:\n  ret i64 %j\n", params="i64 %a")
+    g = build(mod)
+    red.run(g)
+    dne.run(g)
+    assert _ops(g, "add") == [] and _ops(g, "mul") == []
+    _checked(mod, g, "constant through arguments")
+
+
 def test_red_leaves_division_by_zero_alone():
     """[TRIVIAL] Folding 1/0 would erase the trap; RED must not."""
     mod = parse("export define i64 @f() {\n"
@@ -655,6 +688,22 @@ def test_pll_reaches_its_fixpoint_in_one_run(source):
     once = dump(g)
     run_pipeline(g, PassConfig(passes=["PLL", "INV", "DNE"]))
     assert dump(g) == once
+
+
+@pytest.mark.parametrize("source", _SCHEDULE_SOURCES)
+def test_red_reaches_its_fixpoint_in_one_run(source):
+    """[DERIVED] After the default schedule up to each of its RED steps,
+    one more RED changes nothing: the walk folded every constant and
+    inlined every constant gamma, nested ones included."""
+    order = DEFAULT_ORDER.split()
+    for step, name in enumerate(order):
+        if name != "RED":
+            continue
+        g = construct(load_source(source))
+        run_pipeline(g, PassConfig(passes=order[:step + 1]))
+        once = dump(g)
+        red.run(g)
+        assert dump(g) == once, step
 
 
 # -- ILN --------------------------------------------------------------------
