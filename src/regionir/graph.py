@@ -479,7 +479,11 @@ class Graph:
         or results and get disconnected.  Every port is checked before
         anything changes; each list is then filtered once, survivors
         keeping their order, and with `shift` each survivor's index is
-        lowered by the number of removed indices below it."""
+        lowered by the number of removed indices below it.  A batch
+        that names no index changes nothing, and returns at once."""
+        if not any(idxs for _, idxs in ports) \
+                and not any(idxs for _, idxs in uses):
+            return
         for items, idxs in ports:
             for p in items:
                 if p.users and p.index in idxs:

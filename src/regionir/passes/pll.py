@@ -3,9 +3,12 @@
 A stateless, non-trapping simple node whose every live user is an entry
 variable of a single gamma, where only one alternative reads those
 entry variables, is recomputed inside that alternative instead; the
-computation then runs only when the branch is actually taken.  This is
-the inverse of PSH's speculation, the "compute only on the paths that
-need it" rule of lazy code motion.
+computation then runs only when the branch is actually taken: the
+"compute only on the paths that need it" rule of lazy code motion.
+PSH places its copies by the same rule, so what is left to sink is
+work the source computes ahead of a branch that needs it in one arm,
+and a copy of PSH's that two alternatives read until a later pass
+removed one of the reads.
 
 One run reaches the fixpoint.  Each region is walked consumers first,
 so a whole chain sinks in one walk: once a node is sunk, the copy reads

@@ -453,9 +453,9 @@ def test_psh_hoists_a_value_invariant_two_levels_deep_once():
     """[DERIVED] In a loop, a branch adds the parameter %p to 5.  That
     value is invariant in both the gamma and the theta, so PSH makes one
     copy of it, in the lambda body, and none in the loop body; s + x,
-    which reads the loop's %s, gets one copy in the loop body.  After
-    DNE the graph has 21 nodes, the count that hoisting one level at a
-    time also reaches."""
+    which reads the loop's %s, is needed in that branch alone and stays
+    there.  After DNE the graph has 21 nodes, the count that hoisting
+    one level at a time also reaches."""
     mod = parse("export define i64 @f(i64 %p, i64 %n) {\n"
                 "e:\n  %i = copy i64 0\n  %s = copy i64 0\n"
                 "  %m = and i64 %n, 7\n  br label %h\n"
@@ -470,10 +470,12 @@ def test_psh_hoists_a_value_invariant_two_levels_deep_once():
     (theta,) = [n for n in g.all_nodes() if n.kind == "theta"]
     adds = [n for n in made if n.op.name == "add"]
     in_body = [n for n in adds if n.region is lam.subregions[0]]
-    in_loop = [n for n in adds if n.region is theta.subregions[0]]
-    assert len(adds) == 2 and len(in_body) == len(in_loop) == 1
+    assert len(adds) == len(in_body) == 1
     assert in_body[0].inputs[0].origin is lam.subregions[0].args[0]
     dne.run(g)
+    (s_plus_x,) = _ops(g, "add", lambda r: r.owner.kind == "gamma")
+    assert s_plus_x.region.owner.region is theta.subregions[0]
+    assert s_plus_x not in made
     assert built == node_count(g) == 21
     _checked(mod, g, "two-level hoist")
 
@@ -503,11 +505,11 @@ def test_psh_moves_a_trapping_op_out_of_a_loop_but_not_a_branch():
     _checked(mod, g, "trapping two-level hoist")
 
 
-def test_psh_routes_a_value_into_one_alternative_of_four():
+def test_psh_leaves_a_value_one_alternative_of_four_needs_in_it():
     """[DERIVED] Only the second of four alternatives computes p + q.
-    PSH copies it out of the gamma and routes it back through one new
-    entry, which that alternative alone binds: one entry and one
-    argument, where binding every alternative would add four."""
+    Hoisting it out of the gamma would compute it on every path for the
+    benefit of one, and PLL would sink it back, so PSH leaves the add in
+    that alternative: the gamma gains no entry and no argument."""
     mod = parse("export define i64 @f(i64 %s, i64 %p, i64 %q) {\n"
                 "e:\n  branch i64 %s, [%a, %b, %c, %d]\n"
                 "a:\n  ret i64 %p\n"
@@ -519,16 +521,69 @@ def test_psh_routes_a_value_into_one_alternative_of_four():
     ((gamma, args),) = _gamma_args(g)
     assert len(gamma.subregions) == 4
     entries = len(gamma.inputs)
+    (add,) = _ops(g, "add")
     psh.run(g)
-    assert _copies(gamma) == ["add"]
-    assert len(gamma.inputs) == entries + 1
-    ((_, after),) = _gamma_args(g)
-    assert len(after) == len(args) + 1
-    (new,) = set(after) - set(args)
-    assert new.region is gamma.subregions[1]
-    assert new.index == entries - 1
-    dne.run(g)
+    assert _ops(g, "add") == [add]
+    assert add.region is gamma.subregions[1]
+    assert len(gamma.inputs) == entries
+    assert _gamma_args(g) == [(gamma, args)]
     _checked(mod, g, "one of four alternatives")
+
+
+def test_psh_hoists_out_of_a_loop_into_its_alternative_and_no_further():
+    """[DERIVED] A loop inside a branch multiplies %p by %q.  The
+    product is invariant in the loop and in the branch, but only that
+    branch needs it, so PSH copies it out of the theta into the gamma
+    alternative and no further, and PLL leaves the copy where it is."""
+    mod = parse("export define i64 @f(i64 %p, i64 %q, i64 %n) {\n"
+                "e:\n  %i = copy i64 0\n  %s = copy i64 0\n"
+                "  %m = and i64 %n, 7\n"
+                "  %c = lt i64 %q, 0\n  branch i1 %c, [%h, %x]\n"
+                "h:\n  %d = mul i64 %p, %q\n  %s = add i64 %s, %d\n"
+                "  %i = add i64 %i, 1\n  %go = lt i64 %i, %m\n"
+                "  branch i1 %go, [%x, %h]\n"
+                "x:\n  ret i64 %s\n}")
+    g, built, made = _psh_new_nodes(mod)
+    (theta,) = [n for n in g.all_nodes() if n.kind == "theta"]
+    (copy,) = [n for n in made if n.op.name == "mul"]
+    assert copy.region is theta.region
+    assert copy.region.owner.kind == "gamma"
+    dne.run(g)
+    assert _ops(g, "mul") == [copy]
+    pll.run(g)
+    assert _ops(g, "mul") == [copy] and copy.region is theta.region
+    _checked(mod, g, "out of a loop, into its alternative")
+
+
+def test_psh_shares_one_copy_in_the_alternative_two_nested_gammas_need():
+    """[DERIVED] In one branch, two nested branches each compute p + q.
+    PSH makes one copy for both, in the outer alternative that encloses
+    them, not outside the outer gamma, which the other branch would
+    never read; PLL then finds nothing to sink."""
+    mod = parse("export define i64 @f(i64 %s, i64 %p, i64 %q) {\n"
+                "e:\n  %c = lt i64 %s, 0\n  branch i1 %c, [%a, %z]\n"
+                "a:\n  %d = lt i64 %p, 0\n  branch i1 %d, [%b, %j]\n"
+                "b:\n  %x = add i64 %p, %q\n  %s = xor i64 %s, %x\n"
+                "  br label %j\n"
+                "j:\n  %k = lt i64 %q, 0\n  branch i1 %k, [%m, %y]\n"
+                "m:\n  %w = add i64 %p, %q\n  %s = sub i64 %s, %w\n"
+                "  br label %y\n"
+                "y:\n  ret i64 %s\n"
+                "z:\n  ret i64 %q\n}")
+    g, built, made = _psh_new_nodes(mod)
+    originals = [n for n in _ops(g, "add") if n not in made]
+    (copy,) = [n for n in made if n.op.name == "add"]
+    assert len(originals) == 2
+    assert copy.region.owner.region.owner.kind == "lambda"
+    for add in originals:
+        assert add.region.owner.kind == "gamma"
+        assert add.region.owner.region is copy.region
+    dne.run(g)
+    assert _ops(g, "add") == [copy]
+    once = dump(g)
+    pll.run(g)
+    assert dump(g) == once
+    _checked(mod, g, "one copy for two nested gammas")
 
 
 def test_psh_second_run_adds_nothing(fixture_name):
@@ -688,6 +743,29 @@ def test_pll_reaches_its_fixpoint_in_one_run(source):
     once = dump(g)
     run_pipeline(g, PassConfig(passes=["PLL", "INV", "DNE"]))
     assert dump(g) == once
+
+
+def test_pll_sinks_at_most_one_node_psh_made_on_the_ladder():
+    """[DERIVED] PSH puts each copy where PLL would leave it.  Over the
+    default schedule on the ladder programs of seeds 3 and 7 at sizes 1
+    to 8, PLL removes one node that PSH made, on seed 3 at size 8: a
+    copy two alternatives read until the INV right after PSH leaves one
+    alternative's reader unused and DNE removes it.  A PSH that hoists
+    out of every gamma it can has PLL remove 705 of them."""
+    order = DEFAULT_ORDER.split()
+    psh_step, pll_step = order.index("PSH"), order.index("PLL")
+    sunk = 0
+    for source in LADDER:
+        g = construct(load_source(source))
+        run_pipeline(g, PassConfig(passes=order[:psh_step]))
+        last = max(n.id for n in g.all_nodes())
+        psh.run(g)
+        made = {n for n in g.all_nodes() if n.id > last}
+        run_pipeline(g, PassConfig(passes=order[psh_step + 1:pll_step]))
+        made &= set(g.all_nodes())
+        pll.run(g)
+        sunk += len(made - set(g.all_nodes()))
+    assert sunk <= 1
 
 
 @pytest.mark.parametrize("source", _SCHEDULE_SOURCES)

@@ -71,8 +71,9 @@ def test_random_args_draw_sixteen_bit_ints_for_i64():
 
 def test_hoisting_twice_does_not_multiply_the_graph():
     """[DERIVED] An order that hoists out of unrolled, inverted loops
-    three times ends with 5,130 nodes (8,635 when PSH copies a value
-    once per nesting level).  A PSH that copies a value once per
+    three times ends with 4,330 nodes (5,130 when PSH hoists out of
+    every gamma it can, 8,635 when it copies a value once per nesting
+    level).  A PSH that copies a value once per
     alternative and per body node, not once per region, multiplies the
     graph at every run and reaches 743,664."""
     mod = parse(randprog.generate(1011, size=4))
@@ -83,6 +84,21 @@ def test_hoisting_twice_does_not_multiply_the_graph():
     assert steps[-1][2] <= 6000
     assert g.validate() == []
     assert_equivalent(mod, g, "seed 1011", n_inputs=5)
+
+
+def test_hoisting_twice_does_not_multiply_the_graph_of_seed_1031():
+    """[DERIVED] The order above, on the program of seed 1031, ends with
+    5,249 nodes and 13,471 region arguments (6,461 and 15,517 when PSH
+    hoists out of every gamma it can).  The bound leaves the margin that
+    seed 1011's does."""
+    mod = parse(randprog.generate(1031, size=4))
+    check_module(mod)
+    g = construct(mod)
+    order = "IVT URL URL CNE PSH IVT CNE PSH IVT PSH".split()
+    steps = run_pipeline(g, PassConfig(passes=order, unroll_factor=4))
+    assert steps[-1][2] <= 7500
+    assert g.validate() == []
+    assert_equivalent(mod, g, "seed 1031", n_inputs=5)
 
 
 def test_default_pipeline_peak_stays_within_twice_the_construct():
